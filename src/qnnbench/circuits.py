@@ -184,12 +184,37 @@ def _bound_angle(slot: Slot, features, params):
     return slot.multiplier * value
 
 
+def _over_batch(values: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """Shape slot values ``(*lead, n_slots)`` so that ``lead`` meets the
+    state's batch axes from the left once the basis axis leads."""
+    lead = values.shape[:-1]
+    if not lead:
+        return values
+    if len(lead) > len(batch) or any(
+        a != b and 1 not in (a, b) for a, b in zip(lead, batch)
+    ):
+        raise ValueError(
+            f"binding shape {values.shape} does not broadcast over state batch {batch}"
+        )
+    return values.reshape(lead + (1,) * (len(batch) - len(lead)) + values.shape[-1:])
+
+
 def run_circuit(circuit: Circuit, state: np.ndarray, features=None, params=None) -> np.ndarray:
     """Apply every instruction of ``circuit`` to ``state`` in order, binding
     feature and trainable slots; mutates and returns ``state``.
 
-    ``features`` may be a single vector or a batch ``(batch, n_features)``
-    matching a batched state; ``params`` is always a single vector.
+    ``state`` is dim-last: ``(2**n,)`` or ``(*batch, 2**n)``.  ``features``
+    and ``params`` hold their slots on the last axis and may each be a
+    single vector or a stack whose leading axes broadcast against the
+    state's batch axes from the left: a batch ``(batch, n_features)``
+    binds one row per state, and a parameter stack ``(S, 1, k)`` binds one
+    setting per leading index of an ``(S, B, 2**n)`` state.
+
+    This is the only circuit interpreter: it moves the basis axis to the
+    front once (a view, so ``state`` is updated in place) and drives the
+    basis-first ``engine.apply_*_t`` kernels.  A non-finite bound angle
+    leaves non-finite amplitudes, so the state is checked once after the
+    last gate and ``ValueError`` raised.
     """
     features = np.asarray(features, dtype=float) if features is not None else np.empty(0)
     params = np.asarray(params, dtype=float) if params is not None else np.empty(0)
@@ -206,19 +231,25 @@ def run_circuit(circuit: Circuit, state: np.ndarray, features=None, params=None)
             f"expected {circuit.n_trainable_slots} trainable parameters, "
             f"got shape {params.shape}"
         )
+    batch = state.shape[:-1]
+    features = _over_batch(features, batch)
+    params = _over_batch(params, batch)
+    basis_first = np.moveaxis(state, -1, 0)
     for inst in circuit.instructions:
         if inst.gate == "cnot":
-            engine.apply_cnot(state, *inst.qubits)
+            engine.apply_cnot_t(basis_first, *inst.qubits)
         elif inst.gate == "h":
-            engine.apply_h(state, inst.qubits[0])
+            engine.apply_h_t(basis_first, inst.qubits[0])
         else:
             angle = _bound_angle(inst.slot, features, params)
             if inst.gate == "p":
-                engine.apply_p(state, inst.qubits[0], angle)
+                engine.apply_p_t(basis_first, inst.qubits[0], angle)
             elif inst.gate == "rz":
-                engine.apply_rz(state, inst.qubits[0], angle)
+                engine.apply_rz_t(basis_first, inst.qubits[0], angle)
             else:
-                engine.apply_ry(state, inst.qubits[0], angle)
+                engine.apply_ry_t(basis_first, inst.qubits[0], angle)
+    if not np.all(np.isfinite(state)):
+        raise ValueError("gate angle must be finite")
     return state
 
 

@@ -2,14 +2,22 @@
 
 Amplitude layout is little-endian: qubit 0 is the least-significant bit of
 the basis-state index, so basis index ``b`` assigns qubit ``q`` the bit
-``(b >> q) & 1``.  States are complex128 numpy arrays of length ``2**n``;
-every operation also accepts a batch of states shaped ``(batch, 2**n)`` so
-that many inputs can be pushed through the same circuit in one call.
+``(b >> q) & 1``.  States are complex128 numpy arrays of ``2**n``
+amplitudes, optionally batched so that many inputs can be pushed through
+the same circuit in one call.
 
-Gate application updates amplitudes in place through strided views and
-never materialises the ``2**n x 2**n`` operator (the dense-matrix route
-exists only in the test oracles).  Rotation angles may be scalars or, for
-batched states, one angle per state in the batch.
+Each gate kind has exactly one arithmetic body: the basis-first kernel
+``apply_<gate>_t``, which takes states shaped ``(2**n, *batch)``.  The
+public dim-last functions (``apply_h``, ``apply_p``, ``apply_rz``,
+``apply_ry``, ``apply_cnot``, ``apply_single_qubit``) take states shaped
+``(2**n,)`` or ``(*batch, 2**n)``, validate their angles, and run that
+kernel on a view with the basis axis moved to the front, so the update
+lands in the caller's array.
+
+Gates update amplitudes in place through strided views and never
+materialise the ``2**n x 2**n`` operator (the dense-matrix route exists
+only in the test oracles).  Rotation angles may be scalars or, for batched
+states, one angle per state in the batch.
 
 Thread-safety: a state array must be owned by a single caller at a time;
 distinct state arrays can be processed concurrently without locking.
@@ -57,15 +65,6 @@ def gate_matrix(kind: str, angle: float = 0.0) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}; expected one of {GATE_KINDS}")
 
 
-def n_qubits_of(state: np.ndarray) -> int:
-    """Number of qubits encoded in the last axis of ``state``."""
-    dim = state.shape[-1]
-    n = dim.bit_length() - 1
-    if dim != 1 << n:
-        raise ValueError(f"state length {dim} is not a power of two")
-    return n
-
-
 def zero_state(n_qubits: int, batch: int | None = None) -> np.ndarray:
     """Fresh |0...0> state, optionally replicated into a batch."""
     if n_qubits < 1:
@@ -76,157 +75,6 @@ def zero_state(n_qubits: int, batch: int | None = None) -> np.ndarray:
     state = np.zeros(shape, dtype=complex)
     state[..., 0] = 1.0
     return state
-
-
-def _qubit_view(state: np.ndarray, qubit: int) -> np.ndarray:
-    """View of ``state`` split as (..., high, 2, low) around one qubit axis."""
-    n = n_qubits_of(state)
-    if not 0 <= qubit < n:
-        raise IndexError(f"qubit {qubit} out of range for {n}-qubit state")
-    low = 1 << qubit
-    high = state.shape[-1] // (2 * low)
-    return state.reshape(state.shape[:-1] + (high, 2, low))
-
-
-def _angle_factor(state: np.ndarray, angle) -> np.ndarray | float:
-    """Validate an angle (scalar, or one per state along the leading batch
-    axes) and shape it to broadcast against the (..., high, low) slices of
-    a qubit view."""
-    arr = np.asarray(angle, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("gate angle must be finite")
-    if arr.ndim == 0:
-        return float(arr)
-    lead = state.shape[:-1]
-    if arr.ndim > len(lead):
-        raise ValueError(
-            f"angle shape {arr.shape} has more axes than state batch {lead}"
-        )
-    try:
-        np.broadcast_shapes(arr.shape, lead[: arr.ndim])
-    except ValueError:
-        raise ValueError(
-            f"angle shape {arr.shape} does not broadcast over state batch {lead}"
-        ) from None
-    return arr.reshape(arr.shape + (1,) * (len(lead) - arr.ndim) + (1, 1))
-
-
-def apply_single_qubit(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply a 2x2 unitary to one qubit; mutates and returns ``state``."""
-    matrix = np.asarray(matrix)
-    if matrix.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 gate matrix, got shape {matrix.shape}")
-    view = _qubit_view(state, qubit)
-    s0 = view[..., 0, :]
-    s1 = view[..., 1, :]
-    new0 = matrix[0, 0] * s0 + matrix[0, 1] * s1
-    view[..., 1, :] = matrix[1, 0] * s0 + matrix[1, 1] * s1
-    view[..., 0, :] = new0
-    return state
-
-
-def apply_h(state: np.ndarray, qubit: int) -> np.ndarray:
-    """Hadamard on one qubit; mutates and returns ``state``."""
-    view = _qubit_view(state, qubit)
-    s0 = view[..., 0, :]
-    s1 = view[..., 1, :]
-    new0 = (s0 + s1) * _INV_SQRT2
-    view[..., 1, :] = (s0 - s1) * _INV_SQRT2
-    view[..., 0, :] = new0
-    return state
-
-
-def apply_p(state: np.ndarray, qubit: int, angle) -> np.ndarray:
-    """Phase shift diag(1, e^{i*angle}) on one qubit."""
-    phase = np.exp(1j * np.asarray(_angle_factor(state, angle)))
-    view = _qubit_view(state, qubit)
-    view[..., 1, :] *= phase
-    return state
-
-
-def apply_rz(state: np.ndarray, qubit: int, angle) -> np.ndarray:
-    """Z rotation diag(e^{-i*angle/2}, e^{i*angle/2}) on one qubit."""
-    half = 0.5j * np.asarray(_angle_factor(state, angle))
-    view = _qubit_view(state, qubit)
-    view[..., 0, :] *= np.exp(-half)
-    view[..., 1, :] *= np.exp(half)
-    return state
-
-
-def apply_ry(state: np.ndarray, qubit: int, angle) -> np.ndarray:
-    """Y rotation by ``angle`` on one qubit."""
-    factor = _angle_factor(state, angle)
-    c = np.cos(np.asarray(factor) / 2)
-    s = np.sin(np.asarray(factor) / 2)
-    view = _qubit_view(state, qubit)
-    s0 = view[..., 0, :]
-    s1 = view[..., 1, :]
-    new0 = c * s0 - s * s1
-    view[..., 1, :] = s * s0 + c * s1
-    view[..., 0, :] = new0
-    return state
-
-
-@lru_cache(maxsize=None)
-def _cnot_swap_indices(n_qubits: int, control: int, target: int):
-    """Basis indices (control=1, target=0) and their target-flipped partners."""
-    idx = np.arange(1 << n_qubits)
-    mask = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)
-    src = idx[mask]
-    return src, src | (1 << target)
-
-
-def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    """CNOT with the given control and target qubits; mutates ``state``.
-
-    A pure basis permutation, so the norm is preserved exactly.
-    """
-    if control == target:
-        raise ValueError("control and target qubits must differ")
-    n = n_qubits_of(state)
-    for q in (control, target):
-        if not 0 <= q < n:
-            raise IndexError(f"qubit {q} out of range for {n}-qubit state")
-    a, b = _cnot_swap_indices(n, control, target)
-    tmp = state[..., a].copy()
-    state[..., a] = state[..., b]
-    state[..., b] = tmp
-    return state
-
-
-@lru_cache(maxsize=None)
-def _parity_signs(dim: int) -> np.ndarray:
-    """(-1)^popcount(b) for every basis index b."""
-    parity = np.bitwise_count(np.arange(dim)) & 1
-    return 1.0 - 2.0 * parity
-
-
-def parity_z_expectation(state: np.ndarray):
-    """<Z x Z x ... x Z> of a statevector (or of each state in a batch).
-
-    Equals sum_b (+/-1)|amp_b|^2 with the sign given by the parity of the
-    basis bitstring; always lies in [-1, 1] for unit-norm states.
-    """
-    prob = state.real**2 + state.imag**2
-    value = prob @ _parity_signs(state.shape[-1])
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def expectation(state: np.ndarray, observable: str = "parity_z"):
-    """Expectation value of a named observable on ``state``."""
-    if observable != "parity_z":
-        raise ValueError(f"unknown observable {observable!r}")
-    return parity_z_expectation(state)
-
-
-# ---------------------------------------------------------------------------
-# transposed-layout fast path
-#
-# For heavy batched evaluation the basis axis goes FIRST (state shape
-# ``(2**n, *batch)``): every qubit slice is then contiguous along the batch
-# axes, which vectorises far better than the strided slices of the dim-last
-# layout above.  Semantics match the dim-last functions exactly; rotation
-# angles broadcast against the trailing batch axes.
 
 
 def zero_state_t(n_qubits: int, batch: tuple[int, ...]) -> np.ndarray:
@@ -240,15 +88,32 @@ def zero_state_t(n_qubits: int, batch: tuple[int, ...]) -> np.ndarray:
     return state
 
 
-def _views_t(state: np.ndarray, qubit: int):
+# ---------------------------------------------------------------------------
+# basis-first kernels: the one arithmetic body of every gate kind
+#
+# The state's basis axis comes FIRST (shape ``(2**n, *batch)``), so every
+# qubit slice is contiguous along the batch axes when the state is; rotation
+# angles broadcast against the trailing batch axes.  Circuit evaluation
+# (``circuits.run_circuit``) calls these directly, once per instruction.
+
+
+def _check_qubits(state: np.ndarray, *qubits: int) -> int:
+    """Qubit count of a basis-first state, after range-checking ``qubits``."""
     dim = state.shape[0]
     n = dim.bit_length() - 1
     if dim != 1 << n:
-        raise ValueError(f"state leading axis {dim} is not a power of two")
-    if not 0 <= qubit < n:
-        raise IndexError(f"qubit {qubit} out of range for {n}-qubit state")
+        raise ValueError(f"state length {dim} is not a power of two")
+    for q in qubits:
+        if not 0 <= q < n:
+            raise IndexError(f"qubit {q} out of range for {n}-qubit state")
+    return n
+
+
+def _views_t(state: np.ndarray, qubit: int):
+    """The (qubit=0, qubit=1) amplitude slices of a basis-first state."""
+    _check_qubits(state, qubit)
     low = 1 << qubit
-    view = state.reshape((dim // (2 * low), 2, low) + state.shape[1:])
+    view = state.reshape((state.shape[0] // (2 * low), 2, low) + state.shape[1:])
     return view[:, 0], view[:, 1]
 
 
@@ -284,21 +149,128 @@ def apply_ry_t(state: np.ndarray, qubit: int, angle) -> np.ndarray:
     return state
 
 
+@lru_cache(maxsize=None)
+def _cnot_swap_indices(n_qubits: int, control: int, target: int):
+    """Basis indices (control=1, target=0) and their target-flipped partners."""
+    idx = np.arange(1 << n_qubits)
+    mask = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)
+    src = idx[mask]
+    return src, src | (1 << target)
+
+
 def apply_cnot_t(state: np.ndarray, control: int, target: int) -> np.ndarray:
     if control == target:
         raise ValueError("control and target qubits must differ")
-    dim = state.shape[0]
-    n = dim.bit_length() - 1
-    for q in (control, target):
-        if not 0 <= q < n:
-            raise IndexError(f"qubit {q} out of range for {n}-qubit state")
-    a, b = _cnot_swap_indices(n, control, target)
+    a, b = _cnot_swap_indices(_check_qubits(state, control, target), control, target)
     tmp = state[a].copy()
     state[a] = state[b]
     state[b] = tmp
     return state
 
 
+# ---------------------------------------------------------------------------
+# dim-last adapters: validate, then run the kernel on a basis-first view
+
+
+def _angle_factor(state: np.ndarray, angle) -> np.ndarray | float:
+    """Validate an angle (scalar, or one per state along the leading batch
+    axes of a dim-last ``state``) and shape it to broadcast against the
+    trailing batch axes of the basis-first view."""
+    arr = np.asarray(angle, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("gate angle must be finite")
+    if arr.ndim == 0:
+        return float(arr)
+    lead = state.shape[:-1]
+    if arr.ndim > len(lead):
+        raise ValueError(
+            f"angle shape {arr.shape} has more axes than state batch {lead}"
+        )
+    try:
+        np.broadcast_shapes(arr.shape, lead[: arr.ndim])
+    except ValueError:
+        raise ValueError(
+            f"angle shape {arr.shape} does not broadcast over state batch {lead}"
+        ) from None
+    return arr.reshape(arr.shape + (1,) * (len(lead) - arr.ndim))
+
+
+def apply_single_qubit(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply a 2x2 unitary to one qubit; mutates and returns ``state``."""
+    matrix = np.asarray(matrix)
+    if matrix.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 gate matrix, got shape {matrix.shape}")
+    s0, s1 = _views_t(np.moveaxis(state, -1, 0), qubit)
+    new0 = matrix[0, 0] * s0 + matrix[0, 1] * s1
+    s1[...] = matrix[1, 0] * s0 + matrix[1, 1] * s1
+    s0[...] = new0
+    return state
+
+
+def apply_h(state: np.ndarray, qubit: int) -> np.ndarray:
+    """Hadamard on one qubit; mutates and returns ``state``."""
+    apply_h_t(np.moveaxis(state, -1, 0), qubit)
+    return state
+
+
+def apply_p(state: np.ndarray, qubit: int, angle) -> np.ndarray:
+    """Phase shift diag(1, e^{i*angle}) on one qubit."""
+    apply_p_t(np.moveaxis(state, -1, 0), qubit, _angle_factor(state, angle))
+    return state
+
+
+def apply_rz(state: np.ndarray, qubit: int, angle) -> np.ndarray:
+    """Z rotation diag(e^{-i*angle/2}, e^{i*angle/2}) on one qubit."""
+    apply_rz_t(np.moveaxis(state, -1, 0), qubit, _angle_factor(state, angle))
+    return state
+
+
+def apply_ry(state: np.ndarray, qubit: int, angle) -> np.ndarray:
+    """Y rotation by ``angle`` on one qubit."""
+    apply_ry_t(np.moveaxis(state, -1, 0), qubit, _angle_factor(state, angle))
+    return state
+
+
+def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
+    """CNOT with the given control and target qubits; mutates ``state``.
+
+    A pure basis permutation, so the norm is preserved exactly.
+    """
+    apply_cnot_t(np.moveaxis(state, -1, 0), control, target)
+    return state
+
+
+# ---------------------------------------------------------------------------
+# observables
+
+
+@lru_cache(maxsize=None)
+def _parity_signs(dim: int) -> np.ndarray:
+    """(-1)^popcount(b) for every basis index b."""
+    parity = np.bitwise_count(np.arange(dim)) & 1
+    return 1.0 - 2.0 * parity
+
+
+def parity_z_expectation(state: np.ndarray):
+    """<Z x Z x ... x Z> of a dim-last statevector (or of each state in a
+    batch).
+
+    Equals sum_b (+/-1)|amp_b|^2 with the sign given by the parity of the
+    basis bitstring; always lies in [-1, 1] for unit-norm states.
+    """
+    prob = state.real**2 + state.imag**2
+    value = prob @ _parity_signs(state.shape[-1])
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def expectation(state: np.ndarray, observable: str = "parity_z"):
+    """Expectation value of a named observable on a dim-last ``state``."""
+    if observable != "parity_z":
+        raise ValueError(f"unknown observable {observable!r}")
+    return parity_z_expectation(state)
+
+
 def parity_z_expectation_t(state: np.ndarray) -> np.ndarray:
+    """:func:`parity_z_expectation` of a basis-first state, per batch entry."""
     prob = state.real**2 + state.imag**2
     return np.tensordot(_parity_signs(state.shape[0]), prob, axes=(0, 0))

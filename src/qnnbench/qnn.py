@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
+from . import circuits, engine
 from .circuits import (
-    FEATURE,
     Circuit,
     build_real_amplitudes,
     build_z_feature_map,
@@ -50,7 +49,6 @@ class QnnConfig:
     n_qubits: int = 4
     feature_reps: int = 2
     ansatz_reps: int = 2
-    observable: str = "parity_z"
 
     def feature_map(self) -> Circuit:
         return build_z_feature_map(self.n_qubits, self.feature_reps)
@@ -107,33 +105,7 @@ def predict(model: QnnModel, features) -> float | np.ndarray:
             f"expected {model.circuit.n_feature_slots} features, got shape {features.shape}"
         )
     state = evaluate_circuit(model.circuit, features, model.params)
-    return engine.expectation(state, model.config.observable)
-
-
-def _run_instructions_t(circuit: Circuit, state: np.ndarray, features=None,
-                        params=None) -> np.ndarray:
-    """Apply a circuit to a basis-axis-first state (engine fast path).
-
-    ``features``/``params`` index slots via their last axis; any leading
-    axes broadcast against the trailing batch axes of ``state``.
-    """
-    for inst in circuit.instructions:
-        if inst.gate == "cnot":
-            engine.apply_cnot_t(state, *inst.qubits)
-            continue
-        qubit = inst.qubits[0]
-        if inst.gate == "h":
-            engine.apply_h_t(state, qubit)
-            continue
-        source = features if inst.slot.role == FEATURE else params
-        angle = inst.slot.multiplier * source[..., inst.slot.index]
-        if inst.gate == "p":
-            engine.apply_p_t(state, qubit, angle)
-        elif inst.gate == "rz":
-            engine.apply_rz_t(state, qubit, angle)
-        else:
-            engine.apply_ry_t(state, qubit, angle)
-    return state
+    return engine.expectation(state)
 
 
 class CircuitObjective:
@@ -141,8 +113,7 @@ class CircuitObjective:
     computed once up front; every loss/gradient call then only applies the
     variational part of the circuit, batched over all samples."""
 
-    def __init__(self, feature_map: Circuit | None, ansatz: Circuit, X, y,
-                 observable: str = "parity_z"):
+    def __init__(self, feature_map: Circuit | None, ansatz: Circuit, X, y):
         y = np.asarray(y, dtype=float).reshape(-1)
         if len(y) == 0:
             raise ValueError("objective needs at least one sample")
@@ -155,17 +126,14 @@ class CircuitObjective:
                 raise ValueError(
                     f"expected {feature_map.n_feature_slots} features, got {X.shape[1]}"
                 )
-            _run_instructions_t(feature_map, encoded, features=X)
+            circuits.run_circuit(feature_map, encoded.T, features=X)
         self.encoded = encoded  # shape (2**n, n_samples)
         self.ansatz = ansatz
         self.y = y
-        self.observable = observable
-        if observable != "parity_z":
-            raise ValueError(f"unknown observable {observable!r}")
 
     def predictions(self, params) -> np.ndarray:
-        params = np.asarray(params, dtype=float)
-        state = _run_instructions_t(self.ansatz, self.encoded.copy(), params=params)
+        state = self.encoded.copy()
+        circuits.run_circuit(self.ansatz, state.T, params=params)
         return engine.parity_z_expectation_t(state)
 
     def loss(self, params) -> float:
@@ -195,7 +163,7 @@ class CircuitObjective:
             stacked = np.broadcast_to(
                 block[:, None, :], (dim, 2 * k + 1, block.shape[1])
             ).copy()
-            _run_instructions_t(self.ansatz, stacked, params=settings)
+            circuits.run_circuit(self.ansatz, np.moveaxis(stacked, 0, -1), params=settings)
             preds = engine.parity_z_expectation_t(stacked)
             residual = preds[0] - self.y[start : start + GRADIENT_BLOCK]
             dpred = 0.5 * (preds[1 : k + 1] - preds[k + 1 :])
@@ -204,7 +172,7 @@ class CircuitObjective:
 
 
 def _objective_for(config: QnnConfig, X, y) -> CircuitObjective:
-    return CircuitObjective(config.feature_map(), config.ansatz(), X, y, config.observable)
+    return CircuitObjective(config.feature_map(), config.ansatz(), X, y)
 
 
 def mse_loss(model: QnnModel, params, X, y) -> float:
@@ -243,7 +211,7 @@ def train(config: QnnConfig, X, y, seed: int,
         raise ValueError(
             f"need at least {ansatz.n_trainable_slots} samples, got {len(y)}"
         )
-    objective = CircuitObjective(config.feature_map(), ansatz, X, y, config.observable)
+    objective = CircuitObjective(config.feature_map(), ansatz, X, y)
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, 2.0 * math.pi, ansatz.n_trainable_slots)
     opts = options if options is not None else OptimizeOptions(

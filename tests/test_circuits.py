@@ -14,6 +14,7 @@ from qnnbench.circuits import (
     evaluate_circuit,
     format_circuit,
     gate_census,
+    run_circuit,
 )
 
 STRATEGIES = ("full", "linear", "circular", "sca", "reverse_linear", "pairwise")
@@ -225,6 +226,27 @@ class TestEvaluateCircuit:
         circuit = build_real_amplitudes(4, 2, "linear")
         with pytest.raises(ValueError):
             evaluate_circuit(circuit, params=np.zeros(11))
+
+
+class TestRunCircuit:
+    def test_stacked_bindings_meet_batch_axes_from_the_left(self, rng):
+        circuit = compose(build_z_feature_map(4, 2), build_real_amplitudes(4, 2, "linear"))
+        X = rng.uniform(0, 1, (2, 4))  # one row per leading batch index
+        settings = rng.uniform(0, 2 * np.pi, (1, 3, 12))  # one per trailing index
+        state = np.repeat(engine.zero_state(4, batch=2)[:, None, :], 3, axis=1)
+        run_circuit(circuit, state, X, settings)
+        for s in range(2):
+            for i in range(3):
+                np.testing.assert_array_equal(
+                    state[s, i], evaluate_circuit(circuit, X[s], settings[0, i])
+                )
+
+    def test_mismatched_bindings_rejected(self):
+        circuit = build_z_feature_map(4, 1)
+        with pytest.raises(ValueError):
+            run_circuit(circuit, engine.zero_state(4), np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            run_circuit(circuit, engine.zero_state(4, batch=3), np.zeros((2, 4)))
 
 
 class TestFormatCircuit:

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import _oracles
-from qnnbench.circuits import Circuit, Instruction, Slot, build_z_feature_map
+from qnnbench.circuits import (
+    Circuit,
+    Instruction,
+    Slot,
+    build_z_feature_map,
+    evaluate_circuit,
+)
 from qnnbench.data import ScalerParams
 from qnnbench.lbfgs import OptimizeOptions
 from qnnbench.qnn import (
@@ -101,6 +107,19 @@ class TestPredict:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
             predict(model_for("QNN-2"), np.zeros(3))
+
+    # 1e308 is finite, but the feature map doubles it into an infinite angle
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (16, 4)])
+    def test_non_finite_angle_rejected(self, rng, bad, shape):
+        model = model_for("QNN-4", rng.uniform(0, 2 * np.pi, 12))
+        features = rng.uniform(0, 1, shape)
+        features.reshape(-1, 4)[-1, 2] = bad
+        with pytest.raises(ValueError):
+            predict(model, features)
+        with pytest.raises(ValueError):
+            evaluate_circuit(model.circuit, features, model.params)
 
 
 class TestMseLoss:
