@@ -2,8 +2,11 @@
 
 For every requested (model, subset size) pair the harness draws a seeded
 subset, splits it 80/20, fits the min-max scaler on the training split
-only, runs seeded 5-fold cross-validation, then trains once more on the
-full training split and scores the untouched 20% hold-out.  Quantum models
+only (:func:`scaled_subset`), runs seeded k-fold cross-validation, then
+trains once more on the full training split and scores the untouched 20%
+hold-out.  Every fit goes through :func:`fit_and_predict`, which
+``qnnbench bench train`` shares, so that command reproduces the hold-out
+of a ``bench run`` with default folds and optimiser.  Quantum models
 additionally record per-iteration loss histories, which feed a stability
 score (sum of min-max-normalised loss standard deviation, maximum
 post-convergence spike, and final loss).  An optional, strictly serial
@@ -40,10 +43,14 @@ from .data import (
     target_vector,
 )
 from .lbfgs import OptimizeOptions
-from .qnn import QNN_CONFIGS, config_by_name, predict, train
+from .qnn import QNN_CONFIGS, predict, train
 
 BASELINE_MODELS = ("kNN", "DTR", "LR")
 ALL_MODELS = tuple(QNN_CONFIGS) + BASELINE_MODELS
+
+K_FOLDS = 5  # default cross-validation folds
+CORPUS_SIZE = 5000  # rows of the synthetic corpus when no dataset is given
+_OPTIMIZER_KEYS = {"max_iter": int, "grad_tol": float, "memory": int}  # config "optimizer"
 
 # Loss-history windows for the stability statistics: the convergence phase
 # is over after ~10 iterations, so spread and spikes are measured from there.
@@ -323,21 +330,15 @@ class ExperimentConfig:
     seed: int
     models: tuple[str, ...]
     sizes: tuple[int, ...]
-    k_folds: int = 5
+    k_folds: int = K_FOLDS
     csv_path: str | None = None
     column_map: dict | None = None
     synthetic: bool = True
-    corpus_size: int = 5000
-    max_iter: int = 25
-    grad_tol: float = 1e-8
-    memory: int = 10
+    corpus_size: int = CORPUS_SIZE
+    optimizer: OptimizeOptions = field(default_factory=OptimizeOptions)
     timing_enabled: bool = False
     timing_repeats: int = 1
     output_dir: str | None = None
-
-    def optimizer_options(self) -> OptimizeOptions:
-        return OptimizeOptions(max_iter=self.max_iter, grad_tol=self.grad_tol,
-                               memory=self.memory)
 
     def echo(self) -> dict:
         """Config summary embedded in reports (paths excluded so reports
@@ -349,73 +350,99 @@ class ExperimentConfig:
             "k_folds": self.k_folds,
             "synthetic": self.synthetic,
             "corpus_size": self.corpus_size if self.synthetic else None,
-            "optimizer": {"max_iter": self.max_iter, "grad_tol": self.grad_tol,
-                          "memory": self.memory},
+            "optimizer": {key: getattr(self.optimizer, key) for key in _OPTIMIZER_KEYS},
         }
 
 
+def _section(payload: dict, key: str) -> dict:
+    value = payload.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{key}' must be an object, got {value!r}")
+    return value
+
+
+def _number(kind, value, what: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
+
+
+def _optional_path(value, what: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{what} must be a path string, got {value!r}")
+    return value
+
+
 def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
-    """Validate a parsed experiment description."""
+    """Validate a parsed experiment description; every malformed or
+    out-of-range entry raises :class:`ConfigError`."""
     if not isinstance(payload, dict):
         raise ConfigError("experiment config must be a JSON object")
-    try:
-        seed = int(payload["seed"])
-    except KeyError:
-        raise ConfigError("missing required key 'seed'") from None
-    except (TypeError, ValueError):
-        raise ConfigError(f"seed must be an integer, got {payload.get('seed')!r}") from None
+    if "seed" not in payload:
+        raise ConfigError("missing required key 'seed'")
+    seed = _number(int, payload["seed"], "seed")
 
-    models = tuple(payload.get("models", ALL_MODELS))
+    models = payload.get("models", ALL_MODELS)
+    if not isinstance(models, (list, tuple)) or not models:
+        raise ConfigError(f"'models' must be a non-empty list, got {models!r}")
     for model in models:
         if model not in ALL_MODELS:
             raise ConfigError(f"unknown model {model!r}; expected one of {ALL_MODELS}")
-    if not models:
-        raise ConfigError("model list is empty")
 
     sizes_raw = payload.get("sizes")
     if not sizes_raw:
         raise ConfigError("missing required key 'sizes'")
     try:
         sizes = tuple(int(s) for s in sizes_raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"sizes must be integers, got {sizes_raw!r}") from None
     if any(s < 5 for s in sizes):
         raise ConfigError("every size must be >= 5")
 
-    data = payload.get("data", {"synthetic": True})
-    if not isinstance(data, dict):
-        raise ConfigError("'data' must be an object")
-    csv_path = data.get("csv")
+    data = _section(payload, "data")
+    csv_path = _optional_path(data.get("csv"), "data.csv")
     synthetic = bool(data.get("synthetic", csv_path is None))
     if csv_path is None and not synthetic:
         raise ConfigError("'data' must supply a csv path or set synthetic=true")
-    corpus_size = int(data.get("corpus_size", max(5000, max(sizes))))
+    column_map = data.get("column_map")
+    if column_map is not None and not isinstance(column_map, dict):
+        raise ConfigError(f"data.column_map must be an object, got {column_map!r}")
+    corpus_size = _number(int, data.get("corpus_size", max(CORPUS_SIZE, max(sizes))),
+                          "data.corpus_size")
     if synthetic and corpus_size < max(sizes):
         raise ConfigError(
             f"synthetic corpus_size {corpus_size} is smaller than the largest size {max(sizes)}"
         )
 
-    optimizer = payload.get("optimizer", {})
-    timing = payload.get("timing", {})
-    k_folds = int(payload.get("k_folds", 5))
+    k_folds = _number(int, payload.get("k_folds", K_FOLDS), "k_folds")
     if k_folds < 2:
         raise ConfigError("k_folds must be >= 2")
 
+    section = _section(payload, "optimizer")
+    optimizer = OptimizeOptions(**{
+        key: _number(kind, section[key], f"optimizer.{key}")
+        for key, kind in _OPTIMIZER_KEYS.items() if key in section
+    })
+    try:
+        optimizer.validate(dim=0)  # no bounds, so the dimension is unused
+    except ValueError as exc:
+        raise ConfigError(f"optimizer: {exc}") from None
+
+    timing = _section(payload, "timing")
     return ExperimentConfig(
         seed=seed,
-        models=models,
+        models=tuple(models),
         sizes=sizes,
         k_folds=k_folds,
         csv_path=csv_path,
-        column_map=data.get("column_map"),
+        column_map=column_map,
         synthetic=csv_path is None and synthetic,
         corpus_size=corpus_size,
-        max_iter=int(optimizer.get("max_iter", 25)),
-        grad_tol=float(optimizer.get("grad_tol", 1e-8)),
-        memory=int(optimizer.get("memory", 10)),
+        optimizer=optimizer,
         timing_enabled=bool(timing.get("enabled", False)),
-        timing_repeats=int(timing.get("repeats", 1)),
-        output_dir=payload.get("output_dir"),
+        timing_repeats=_number(int, timing.get("repeats", 1), "timing.repeats"),
+        output_dir=_optional_path(payload.get("output_dir"), "output_dir"),
     )
 
 
@@ -437,9 +464,20 @@ def load_experiment_config(path) -> ExperimentConfig:
 def derive_seed(base_seed: int, size: int, model: str, fold: int) -> int:
     """Stable per-(size, model, fold) training seed; the hold-out training
     uses ``fold = k``."""
-    index = ALL_MODELS.index(model)
-    sequence = np.random.SeedSequence((base_seed, size, index, fold))
+    if model not in ALL_MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {ALL_MODELS}")
+    sequence = np.random.SeedSequence((base_seed, size, ALL_MODELS.index(model), fold))
     return int(sequence.generate_state(1)[0])
+
+
+def scaled_subset(rows, X_all, y_all, size: int, seed: int):
+    """Seeded ``size``-row subset split 80/20, with the min-max scaler
+    fitted on the training rows only: ``(scaler, Xtr, ytr, Xte, yte)``."""
+    split = subset_and_split(rows, size, seed)
+    scaler = minmax_fit(X_all[split.train_idx], y_all[split.train_idx])
+    Xtr, ytr = minmax_apply(scaler, X_all[split.train_idx], y_all[split.train_idx])
+    Xte, yte = minmax_apply(scaler, X_all[split.test_idx], y_all[split.test_idx])
+    return scaler, Xtr, ytr, Xte, yte
 
 
 @dataclass
@@ -526,54 +564,50 @@ def fit_predict_baseline(model_name: str, X_train, y_train, X_eval) -> np.ndarra
     raise ValueError(f"unknown baseline {model_name!r}")
 
 
+def fit_and_predict(model_name: str, X_fit, y_fit, X_eval, seed: int,
+                    options: OptimizeOptions | None = None):
+    """Fit one model on scaled rows and predict ``X_eval`` in scaled units.
+
+    Returns ``(predictions, model, loss_history)``; the last two are None
+    for the baselines, which ignore ``seed`` and ``options``.
+    """
+    if model_name in QNN_CONFIGS:
+        model, history = train(QNN_CONFIGS[model_name], X_fit, y_fit, seed=seed,
+                               options=options)
+        return predict(model, X_eval), model, history
+    return fit_predict_baseline(model_name, X_fit, y_fit, X_eval), None, None
+
+
 def _evaluate_model(model_name: str, size: int, scaler, Xtr, ytr, Xte, yte,
                     plan: FoldPlan, config: ExperimentConfig) -> ModelSizeResult:
-    is_qnn = model_name in QNN_CONFIGS
-    qnn_config = QNN_CONFIGS.get(model_name)
-    options = config.optimizer_options()
-
     fold_metrics = []
-    loss_histories = [] if is_qnn else None
-    convergence_ratios = [] if is_qnn else None
+    histories = []
     for fold in range(plan.k):
         tr, va = plan.train_indices(fold), plan.val_indices(fold)
         try:
-            if is_qnn:
-                seed = derive_seed(config.seed, size, model_name, fold)
-                model, history = train(qnn_config, Xtr[tr], ytr[tr], seed=seed,
-                                       options=options)
-                pred_scaled = predict(model, Xtr[va])
-                loss_histories.append(history)
-                convergence_ratios.append(_convergence_ratio(history))
-            else:
-                pred_scaled = fit_predict_baseline(model_name, Xtr[tr], ytr[tr], Xtr[va])
+            pred_scaled, _, history = fit_and_predict(
+                model_name, Xtr[tr], ytr[tr], Xtr[va],
+                derive_seed(config.seed, size, model_name, fold), config.optimizer)
             y_true_kw = minmax_invert_target(scaler, ytr[va])
             y_pred_kw = minmax_invert_target(scaler, pred_scaled)
             fold_metrics.append(compute_metrics(y_true_kw, y_pred_kw))
-        except BenchmarkError:
-            raise
         except Exception as exc:
             raise BenchmarkError("cross_validation", str(exc), model=model_name,
                                  size=size, fold=fold) from exc
+        histories.append(history)
 
     try:
-        holdout_history = None
-        if is_qnn:
-            seed = derive_seed(config.seed, size, model_name, plan.k)
-            model, holdout_history = train(qnn_config, Xtr, ytr, seed=seed,
-                                           options=options)
-            pred_scaled = predict(model, Xte)
-        else:
-            pred_scaled = fit_predict_baseline(model_name, Xtr, ytr, Xte)
+        pred_scaled, _, holdout_history = fit_and_predict(
+            model_name, Xtr, ytr, Xte,
+            derive_seed(config.seed, size, model_name, plan.k), config.optimizer)
         y_true_kw = minmax_invert_target(scaler, yte)
         y_pred_kw = minmax_invert_target(scaler, pred_scaled)
         holdout = compute_metrics(y_true_kw, y_pred_kw)
         residuals = residual_stats(y_true_kw, y_pred_kw)
-    except BenchmarkError:
-        raise
     except Exception as exc:
         raise BenchmarkError("holdout", str(exc), model=model_name, size=size) from exc
 
+    quantum = holdout_history is not None
     return ModelSizeResult(
         model=model_name,
         size=size,
@@ -584,9 +618,9 @@ def _evaluate_model(model_name: str, size: int, scaler, Xtr, ytr, Xte, yte,
         residuals=residuals,
         y_true_kw=y_true_kw,
         y_pred_kw=np.asarray(y_pred_kw, dtype=float),
-        loss_histories=loss_histories,
+        loss_histories=histories if quantum else None,
         holdout_history=holdout_history,
-        convergence_ratios=convergence_ratios,
+        convergence_ratios=[_convergence_ratio(h) for h in histories] if quantum else None,
     )
 
 
@@ -613,10 +647,7 @@ def run_benchmark(config: ExperimentConfig,
     prepared = {}
     for size in config.sizes:
         try:
-            split = subset_and_split(rows, size, config.seed)
-            scaler = minmax_fit(X_all[split.train_idx], y_all[split.train_idx])
-            Xtr, ytr = minmax_apply(scaler, X_all[split.train_idx], y_all[split.train_idx])
-            Xte, yte = minmax_apply(scaler, X_all[split.test_idx], y_all[split.test_idx])
+            scaler, Xtr, ytr, Xte, yte = scaled_subset(rows, X_all, y_all, size, config.seed)
             plan = kfold_plan(len(ytr), config.k_folds, config.seed)
         except Exception as exc:
             raise BenchmarkError("data_preparation", str(exc), size=size) from exc
@@ -657,8 +688,7 @@ def run_benchmark(config: ExperimentConfig,
                 train_sizes[size] = len(ytr)
                 try:
                     measurements[name][size] = measure_cv_training_time(
-                        QNN_CONFIGS[name], Xtr, ytr, plan,
-                        config.optimizer_options(),
+                        QNN_CONFIGS[name], Xtr, ytr, plan, config.optimizer,
                         fold_seed=lambda fold, n=name, s=size: derive_seed(config.seed, s, n, fold),
                         repeats=config.timing_repeats,
                     )

@@ -4,7 +4,7 @@ Usage::
 
     qnnbench bench run --config experiment.json
     qnnbench bench train --model QNN-3 --size 800 --seed 7 [--data file.csv]
-                         [--corpus-size 5000] [--out model.json]
+                         [--corpus-size N] [--out model.json]
     qnnbench bench compare --report out/
     qnnbench circuit show --model QNN-1
     qnnbench data gen-synth --size 1000 --seed 3 --out synth.csv
@@ -23,14 +23,17 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import (
+    CORPUS_SIZE,
+    K_FOLDS,
     BenchmarkError,
     ConfigError,
     compute_metrics,
     derive_seed,
-    fit_predict_baseline,
+    fit_and_predict,
     load_experiment_config,
     residual_stats,
     run_benchmark,
+    scaled_subset,
 )
 from .circuits import format_circuit, gate_census
 from .data import (
@@ -38,14 +41,11 @@ from .data import (
     feature_matrix,
     gen_synthetic,
     load_dataset,
-    minmax_apply,
-    minmax_fit,
     minmax_invert_target,
-    subset_and_split,
     target_vector,
     write_dataset,
 )
-from .qnn import QNN_CONFIGS, config_by_name, predict, save_trained_model, train
+from .qnn import config_by_name, save_trained_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--size", required=True, type=int, help="subset size (80%% used to train)")
     tr.add_argument("--seed", required=True, type=int)
     tr.add_argument("--data", help="dataset CSV; omitted -> synthetic corpus")
-    tr.add_argument("--corpus-size", type=int, default=5000,
+    tr.add_argument("--corpus-size", type=int, default=CORPUS_SIZE,
                     help="synthetic corpus size when --data is omitted")
     tr.add_argument("--out", help="write the trained quantum model as JSON")
 
@@ -110,22 +110,17 @@ def _cmd_bench_train(args) -> int:
         rows = load_dataset(args.data)
     else:
         rows = gen_synthetic(args.corpus_size, args.seed)
-    split = subset_and_split(rows, args.size, args.seed)
     X_all, y_all = feature_matrix(rows), target_vector(rows)
-    scaler = minmax_fit(X_all[split.train_idx], y_all[split.train_idx])
-    Xtr, ytr = minmax_apply(scaler, X_all[split.train_idx], y_all[split.train_idx])
-    Xte, yte = minmax_apply(scaler, X_all[split.test_idx], y_all[split.test_idx])
+    scaler, Xtr, ytr, Xte, yte = scaled_subset(rows, X_all, y_all, args.size, args.seed)
 
-    if args.model in QNN_CONFIGS:
-        seed = derive_seed(args.seed, args.size, args.model, fold=5)
-        model, history = train(config_by_name(args.model), Xtr, ytr, seed=seed)
-        pred_scaled = predict(model, Xte)
+    # the hold-out fit of `bench run`: fold index k under the default folds
+    seed = derive_seed(args.seed, args.size, args.model, fold=K_FOLDS)
+    pred_scaled, model, history = fit_and_predict(args.model, Xtr, ytr, Xte, seed)
+    if model is not None:
         if args.out:
             save_trained_model(args.out, model, scaler, seed, history)
             print(f"model written to {args.out}")
         print(f"final training loss: {history[-1]:.6f}")
-    else:
-        pred_scaled = fit_predict_baseline(args.model, Xtr, ytr, Xte)
     y_true = minmax_invert_target(scaler, yte)
     y_pred = minmax_invert_target(scaler, pred_scaled)
     metrics = compute_metrics(y_true, y_pred)

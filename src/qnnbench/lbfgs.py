@@ -59,7 +59,7 @@ class OptimizeResult:
     termination: str
 
 
-def _bounds_arrays(bounds, dim):
+def _bounds_arrays(bounds):
     if bounds is None:
         return None, None
     lo = np.array([b[0] for b in bounds], dtype=float)
@@ -104,11 +104,12 @@ def _cubic_step(a_lo, f_lo, g_lo, a_hi, f_hi, g_hi):
 
 
 class _LineFunction:
-    """phi(alpha) = f(x + alpha*d) with the last full evaluation cached."""
+    """phi(alpha) = f(x + alpha*d), keeping every evaluation so the accepted
+    step's objective and gradient are read back, never recomputed."""
 
     def __init__(self, f, grad, x, d):
         self.f, self.grad, self.x, self.d = f, grad, x, d
-        self.last = None  # (alpha, f, g, dphi)
+        self.evals = {}  # alpha -> (f, g)
 
     def __call__(self, alpha):
         xa = self.x + alpha * self.d
@@ -117,7 +118,7 @@ class _LineFunction:
             fa = np.inf
         ga = np.asarray(self.grad(xa), dtype=float)
         dphi = float(ga @ self.d)
-        self.last = (alpha, fa, ga, dphi)
+        self.evals[alpha] = (fa, ga)
         return fa, dphi
 
 
@@ -211,7 +212,7 @@ def minimize(f, grad, x0, options: OptimizeOptions | None = None) -> OptimizeRes
     opts = options if options is not None else OptimizeOptions()
     x = np.array(x0, dtype=float).reshape(-1).copy()
     opts.validate(x.size)
-    lo, hi = _bounds_arrays(opts.bounds, x.size)
+    lo, hi = _bounds_arrays(opts.bounds)
     if lo is not None and (np.any(x < lo) or np.any(x > hi)):
         raise ValueError("x0 must lie within the supplied bounds")
 
@@ -244,11 +245,7 @@ def minimize(f, grad, x0, options: OptimizeOptions | None = None) -> OptimizeRes
             if alpha is None:
                 termination = LINE_SEARCH_FAIL_TERMINATION
                 break
-            if line.last is not None and line.last[0] == alpha:
-                _, f_new, g_new, _ = line.last
-            else:
-                f_new, _ = line(alpha)
-                g_new = line.last[2]
+            f_new, g_new = line.evals[alpha]
             x_new = x + alpha * d
         else:
             result = _projected_backtrack(f, x, fx, g, d, lo, hi)

@@ -31,7 +31,6 @@ from .circuits import (
 from .data import ScalerParams
 from .lbfgs import OptimizeOptions, minimize
 
-TRAIN_ITERATIONS = 25
 HISTORY_LENGTH = 25
 
 # Samples per gradient chunk: keeps the 25-setting shifted batch
@@ -214,11 +213,9 @@ def train(config: QnnConfig, X, y, seed: int,
     objective = CircuitObjective(config.feature_map(), ansatz, X, y)
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, 2.0 * math.pi, ansatz.n_trainable_slots)
-    opts = options if options is not None else OptimizeOptions(
-        max_iter=TRAIN_ITERATIONS, grad_tol=1e-8, memory=10
-    )
+    opts = options if options is not None else OptimizeOptions()
     result = minimize(objective.loss, objective.gradient, x0, opts)
-    history = result.f_history if result.n_iters > 0 else np.array([objective.loss(x0)])
+    history = result.f_history if result.n_iters > 0 else np.array([result.f_final])
     model = QnnModel(config, config.circuit(), result.x_final)
     return model, pad_history(history, max(HISTORY_LENGTH, opts.max_iter))
 

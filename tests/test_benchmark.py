@@ -221,6 +221,36 @@ class TestExperimentConfig:
         assert config.k_folds == 5
         assert config.synthetic
         assert set(config.models) == set(QNN_CONFIGS) | {"kNN", "DTR", "LR"}
+        assert config.optimizer == OptimizeOptions()
+        assert config.echo()["optimizer"] == {"max_iter": 25, "grad_tol": 1e-8, "memory": 10}
+
+    def test_optimizer_section_overrides_defaults(self):
+        config = experiment_config_from_dict(
+            {"seed": 5, "sizes": [100], "optimizer": {"max_iter": 12, "grad_tol": 1e-6}}
+        )
+        assert config.optimizer == OptimizeOptions(max_iter=12, grad_tol=1e-6, memory=10)
+
+    @pytest.mark.parametrize("entry", [
+        {"optimizer": 5},
+        {"optimizer": {"max_iter": 0}},
+        {"optimizer": {"grad_tol": "tight"}},
+        {"timing": [1]},
+        {"timing": {"repeats": None}},
+        {"k_folds": None},
+        {"k_folds": float("inf")},
+        {"sizes": [float("inf")]},
+        {"data": 5},
+        {"data": {"corpus_size": None}},
+        {"data": {"csv": 5}},
+        {"data": {"csv": "wind.csv", "column_map": ["a"]}},
+        {"models": 5},
+        {"models": []},
+        {"seed": None},
+        {"output_dir": 5},
+    ])
+    def test_malformed_entry_rejected(self, entry):
+        with pytest.raises(ConfigError):
+            experiment_config_from_dict({"seed": 1, "sizes": [100], **entry})
 
     def test_missing_seed_rejected(self):
         with pytest.raises(ConfigError):

@@ -72,6 +72,22 @@ class TestBenchTrain:
         assert main(["bench", "train", "--model", "GBM", "--size", "60", "--seed", "1",
                      "--corpus-size", "150"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("model", ["QNN-3", "kNN"])
+    def test_matches_bench_run_holdout(self, model, tmp_path, capsys):
+        out = tmp_path / "report"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "seed": 4, "sizes": [60], "models": [model],
+            "data": {"synthetic": True, "corpus_size": 150}, "output_dir": str(out),
+        }))
+        assert main(["bench", "run", "--config", str(config_path)]) == EXIT_OK
+        holdout = json.loads((out / model / "60" / "metrics.json").read_text())["holdout"]
+        capsys.readouterr()
+        assert main(["bench", "train", "--model", model, "--size", "60", "--seed", "4",
+                     "--corpus-size", "150"]) == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert f"holdout R2={holdout['r2']:+.4f} RMSE={holdout['rmse_kw']:.2f} kW" in line
+
 
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
@@ -114,6 +130,12 @@ class TestBenchRunAndCompare:
     def test_invalid_config_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"seed": 1, "sizes": [60], "models": ["SVR"]}))
+        assert main(["bench", "run", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("entry", [{"optimizer": 5}, {"optimizer": {"max_iter": 0}}])
+    def test_malformed_section_is_config_error(self, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"seed": 1, "sizes": [60], "models": ["QNN-6"], **entry}))
         assert main(["bench", "run", "--config", str(path)]) == EXIT_CONFIG
 
     def test_compare_without_report_is_data_error(self, tmp_path):
