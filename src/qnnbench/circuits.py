@@ -6,7 +6,10 @@ and an RY/CNOT variational ansatz whose CNOT layout is chosen by an
 entanglement strategy.  Circuits are immutable instruction lists with
 symbolic parameter slots, split into feature slots (bound to input data)
 and trainable slots (bound to optimiser parameters), and can be evaluated
-for a whole batch of feature vectors at once.
+for a whole batch of feature vectors at once.  A circuit without feature
+slots can also be compiled, at fixed parameters, into its dense unitary
+(:func:`circuit_unitary`), which a fitted model applies in place of its
+ansatz gates.
 """
 
 from __future__ import annotations
@@ -266,6 +269,21 @@ def evaluate_circuit(circuit: Circuit, features=None, params=None) -> np.ndarray
             batch = arr.shape[0]
     state = engine.zero_state(circuit.n_qubits, batch=batch)
     return run_circuit(circuit, state, features, params)
+
+
+def circuit_unitary(circuit: Circuit, params=None) -> np.ndarray:
+    """The ``2**n x 2**n`` unitary of a circuit with no feature slots.
+
+    Runs :func:`run_circuit` once on all ``2**n`` basis states as one batch,
+    so the gates, their order and the angle-finiteness check are the
+    interpreter's own; column ``j`` is the image of basis state ``j``.
+    """
+    if circuit.n_feature_slots:
+        raise ValueError(
+            f"cannot compile a circuit with {circuit.n_feature_slots} feature slots"
+        )
+    images = np.eye(1 << circuit.n_qubits, dtype=complex)  # row j: basis state j
+    return run_circuit(circuit, images, params=params).T
 
 
 def format_circuit(circuit: Circuit) -> str:

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import (
+    BASELINE_MODELS,
     CORPUS_SIZE,
     K_FOLDS,
     BenchmarkError,
@@ -106,6 +107,8 @@ def _cmd_bench_run(args) -> int:
 
 
 def _cmd_bench_train(args) -> int:
+    if args.out and args.model in BASELINE_MODELS:
+        raise ConfigError(f"--out saves quantum models only, not {args.model}")
     if args.data:
         rows = load_dataset(args.data)
     else:

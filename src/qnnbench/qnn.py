@@ -9,24 +9,29 @@ for RY angles, and training runs the quasi-Newton minimiser for at most 25
 iterations from a seeded uniform initialisation.
 
 The six registered configurations share the same feature map and differ
-only in the ansatz entanglement pattern.
+only in the ansatz entanglement pattern.  A fitted model's ansatz is
+therefore a fixed unitary: :class:`QnnModel` compiles it once when it is
+built, and :func:`predict` runs only the feature-encoding gates per request
+before applying that unitary as one matrix product.  Training still runs
+the ansatz gate by gate, because every loss and gradient call binds new
+parameters.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import circuits, engine
 from .circuits import (
+    FEATURE,
     Circuit,
     build_real_amplitudes,
     build_z_feature_map,
     compose,
-    evaluate_circuit,
 )
 from .data import ScalerParams
 from .lbfgs import OptimizeOptions, minimize
@@ -78,33 +83,64 @@ def config_by_name(name: str) -> QnnConfig:
         ) from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class QnnModel:
+    """A circuit with its fitted parameters, frozen so that the compiled
+    ansatz below can never go stale.
+
+    On construction the circuit is split after its last feature-slot
+    instruction: the prefix (the feature encoding) runs per request, and
+    the trainable-only suffix is compiled into its unitary once.
+    """
+
     config: QnnConfig
     circuit: Circuit
     params: np.ndarray
+    _encoding: Circuit = field(init=False, compare=False, repr=False)
+    # transpose of the suffix unitary: dim-last states map as ``state @ _ansatz_t``
+    _ansatz_t: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.params = np.asarray(self.params, dtype=float).reshape(-1)
-        if len(self.params) != self.circuit.n_trainable_slots:
+        params = np.array(self.params, dtype=float).reshape(-1)
+        if len(params) != self.circuit.n_trainable_slots:
             raise ValueError(
                 f"expected {self.circuit.n_trainable_slots} parameters, "
-                f"got {len(self.params)}"
+                f"got {len(params)}"
             )
-        if not np.all(np.isfinite(self.params)):
+        if not np.all(np.isfinite(params)):
             raise ValueError("parameters must be finite")
+        params.flags.writeable = False
+        circuit = self.circuit
+        cut = max(
+            (i + 1 for i, inst in enumerate(circuit.instructions)
+             if inst.slot is not None and inst.slot.role == FEATURE),
+            default=0,
+        )
+        encoding = Circuit(circuit.n_qubits, circuit.instructions[:cut],
+                           circuit.n_feature_slots, circuit.n_trainable_slots)
+        ansatz = Circuit(circuit.n_qubits, circuit.instructions[cut:],
+                         0, circuit.n_trainable_slots)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_encoding", encoding)
+        object.__setattr__(self, "_ansatz_t", circuits.circuit_unitary(ansatz, params).T)
 
 
 def predict(model: QnnModel, features) -> float | np.ndarray:
     """Observable expectation of the bound circuit; one value per feature
-    row, always in [-1, 1]."""
+    row, always in [-1, 1].
+
+    Only the feature-encoding gates run per call; the ansatz is applied as
+    the model's compiled unitary, one matrix product for the whole batch.
+    """
     features = np.asarray(features, dtype=float)
     if features.shape[-1] != model.circuit.n_feature_slots:
         raise ValueError(
             f"expected {model.circuit.n_feature_slots} features, got shape {features.shape}"
         )
-    state = evaluate_circuit(model.circuit, features, model.params)
-    return engine.expectation(state)
+    batch = features.shape[0] if features.ndim == 2 else None
+    state = engine.zero_state(model.circuit.n_qubits, batch=batch)
+    circuits.run_circuit(model._encoding, state, features, model.params)
+    return engine.expectation(state @ model._ansatz_t)
 
 
 class CircuitObjective:

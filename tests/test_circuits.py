@@ -9,6 +9,7 @@ from qnnbench.circuits import (
     Slot,
     build_real_amplitudes,
     build_z_feature_map,
+    circuit_unitary,
     compose,
     entangler_pairs,
     evaluate_circuit,
@@ -247,6 +248,33 @@ class TestRunCircuit:
             run_circuit(circuit, engine.zero_state(4), np.zeros((2, 4)))
         with pytest.raises(ValueError):
             run_circuit(circuit, engine.zero_state(4, batch=3), np.zeros((2, 4)))
+
+
+class TestCircuitUnitary:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_matches_dense_oracle_and_is_unitary(self, rng, strategy):
+        ansatz = build_real_amplitudes(4, 2, strategy)
+        params = rng.uniform(0, 2 * np.pi, 12)
+        unitary = circuit_unitary(ansatz, params)
+        np.testing.assert_allclose(
+            unitary, _oracles.circuit_unitary(ansatz, params=params), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            unitary.conj().T @ unitary, np.eye(16), rtol=0, atol=1e-12
+        )
+
+    def test_feature_slots_rejected(self):
+        circuit = compose(build_z_feature_map(4, 2), build_real_amplitudes(4, 2, "full"))
+        with pytest.raises(ValueError):
+            circuit_unitary(circuit, np.zeros(12))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, bad):
+        params = np.zeros(12)
+        params[5] = bad
+        with pytest.raises(ValueError):
+            circuit_unitary(build_real_amplitudes(4, 2, "sca"), params)
 
 
 class TestFormatCircuit:

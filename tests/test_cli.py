@@ -63,6 +63,20 @@ class TestBenchTrain:
         assert code == EXIT_OK
         assert "kNN size=60" in capsys.readouterr().out
 
+    def test_out_for_baseline_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "knn.json"
+        code = main(["bench", "train", "--model", "kNN", "--size", "60", "--seed", "4",
+                     "--corpus-size", "150", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "quantum models only" in captured.err
+        assert captured.out == ""
+        # rejected before any data is loaded: a missing CSV is not reached
+        code = main(["bench", "train", "--model", "LR", "--size", "60", "--seed", "1",
+                     "--data", str(tmp_path / "absent.csv"), "--out", str(out)])
+        assert code == EXIT_CONFIG
+
     def test_missing_csv_is_data_error(self, tmp_path, capsys):
         code = main(["bench", "train", "--model", "LR", "--size", "60", "--seed", "1",
                      "--data", str(tmp_path / "absent.csv")])

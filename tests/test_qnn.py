@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import _oracles
+from qnnbench import engine
 from qnnbench.circuits import (
     Circuit,
     Instruction,
@@ -120,6 +123,46 @@ class TestPredict:
             predict(model, features)
         with pytest.raises(ValueError):
             evaluate_circuit(model.circuit, features, model.params)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (16, 4), (256, 4)])
+    def test_compiled_ansatz_matches_gate_loop(self, rng, shape):
+        for name in QNN_CONFIGS:
+            model = model_for(name, rng.uniform(0, 2 * np.pi, 12))
+            features = rng.uniform(-0.2, 1.2, shape)
+            expected = engine.expectation(evaluate_circuit(model.circuit, features, model.params))
+            values = predict(model, features)
+            assert np.shape(values) == np.shape(expected)
+            np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+
+    def test_trainable_gates_before_last_feature_stay_in_the_prefix(self, rng):
+        """Re-uploading layout: only the gates after the last feature slot
+        are compiled, whatever precedes it runs per request."""
+        circuit = Circuit(
+            2,
+            (
+                Instruction("ry", (0,), Slot("trainable", 0)),
+                Instruction("h", (1,)),
+                Instruction("p", (1,), Slot("feature", 0, 2.0)),
+                Instruction("cnot", (1, 0)),
+                Instruction("ry", (1,), Slot("trainable", 1)),
+                Instruction("p", (0,), Slot("feature", 1)),
+                Instruction("ry", (0,), Slot("trainable", 2)),
+                Instruction("cnot", (0, 1)),
+            ),
+            n_feature_slots=2,
+            n_trainable_slots=3,
+        )
+        model = QnnModel(QNN_CONFIGS["QNN-1"], circuit, rng.uniform(0, 2 * np.pi, 3))
+        features = rng.uniform(0, 1, (8, 2))
+        expected = engine.expectation(evaluate_circuit(circuit, features, model.params))
+        np.testing.assert_allclose(predict(model, features), expected, rtol=0, atol=1e-12)
+
+    def test_model_is_frozen(self, rng):
+        model = model_for("QNN-2", rng.uniform(0, 2 * np.pi, 12))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.params = np.zeros(12)
+        with pytest.raises(ValueError):
+            model.params[0] = 0.0
 
 
 class TestMseLoss:
@@ -265,4 +308,4 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded_history, history)
         np.testing.assert_array_equal(loaded_scaler.mins, scaler.mins)
         test_points = rng.uniform(0, 1, (5, 4))
-        np.testing.assert_allclose(predict(loaded, test_points), predict(model, test_points))
+        np.testing.assert_array_equal(predict(loaded, test_points), predict(model, test_points))
