@@ -333,12 +333,16 @@ class ExperimentConfig:
     k_folds: int = K_FOLDS
     csv_path: str | None = None
     column_map: dict | None = None
-    synthetic: bool = True
     corpus_size: int = CORPUS_SIZE
     optimizer: OptimizeOptions = field(default_factory=OptimizeOptions)
     timing_enabled: bool = False
     timing_repeats: int = 1
     output_dir: str | None = None
+
+    @property
+    def synthetic(self) -> bool:
+        """Whether rows come from the seeded synthetic corpus (no CSV given)."""
+        return self.csv_path is None
 
     def echo(self) -> dict:
         """Config summary embedded in reports (paths excluded so reports
@@ -366,6 +370,12 @@ def _number(kind, value, what: str):
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _optional_path(value, what: str) -> str | None:
@@ -402,7 +412,7 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
 
     data = _section(payload, "data")
     csv_path = _optional_path(data.get("csv"), "data.csv")
-    synthetic = bool(data.get("synthetic", csv_path is None))
+    synthetic = _flag(data.get("synthetic", csv_path is None), "data.synthetic")
     if csv_path is None and not synthetic:
         raise ConfigError("'data' must supply a csv path or set synthetic=true")
     column_map = data.get("column_map")
@@ -430,6 +440,9 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError(f"optimizer: {exc}") from None
 
     timing = _section(payload, "timing")
+    timing_repeats = _number(int, timing.get("repeats", 1), "timing.repeats")
+    if timing_repeats < 1:
+        raise ConfigError(f"timing.repeats must be >= 1, got {timing_repeats}")
     return ExperimentConfig(
         seed=seed,
         models=tuple(models),
@@ -437,11 +450,10 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
         k_folds=k_folds,
         csv_path=csv_path,
         column_map=column_map,
-        synthetic=csv_path is None and synthetic,
         corpus_size=corpus_size,
         optimizer=optimizer,
-        timing_enabled=bool(timing.get("enabled", False)),
-        timing_repeats=_number(int, timing.get("repeats", 1), "timing.repeats"),
+        timing_enabled=_flag(timing.get("enabled", False), "timing.enabled"),
+        timing_repeats=timing_repeats,
         output_dir=_optional_path(payload.get("output_dir"), "output_dir"),
     )
 

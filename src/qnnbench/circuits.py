@@ -46,14 +46,46 @@ class Instruction:
 class Circuit:
     """Ordered gate list with declared slot counts.
 
-    Immutable after construction and safe to share across threads;
-    evaluation allocates a fresh statevector per call.
+    Every instruction is validated once on construction (``ValueError``
+    for a gate the interpreter cannot run as written).  Immutable after
+    construction and safe to share across threads; evaluation allocates a
+    fresh statevector per call.
     """
 
     n_qubits: int
     instructions: tuple[Instruction, ...]
     n_feature_slots: int
     n_trainable_slots: int
+
+    def __post_init__(self):
+        slot_counts = {FEATURE: self.n_feature_slots, TRAINABLE: self.n_trainable_slots}
+        for inst in self.instructions:
+            _check_instruction(inst, self.n_qubits, slot_counts)
+
+
+def _check_instruction(inst: Instruction, n_qubits: int, slot_counts: dict[str, int]) -> None:
+    if inst.gate not in engine.GATE_KINDS:
+        raise ValueError(f"unknown gate {inst.gate!r}; expected one of {engine.GATE_KINDS}")
+    arity = 2 if inst.gate == "cnot" else 1
+    if len(inst.qubits) != arity or len(set(inst.qubits)) != arity:
+        raise ValueError(f"{inst.gate} needs {arity} distinct qubit(s), got {inst.qubits}")
+    if not all(0 <= q < n_qubits for q in inst.qubits):
+        raise ValueError(f"{inst.gate} on {inst.qubits} outside a {n_qubits}-qubit register")
+    if inst.gate in ("h", "cnot"):
+        if inst.slot is not None:
+            raise ValueError(f"{inst.gate} takes no angle slot, got {inst.slot}")
+        return
+    if inst.slot is None:
+        raise ValueError(f"{inst.gate} on {inst.qubits} needs an angle slot")
+    if inst.slot.role not in slot_counts:
+        raise ValueError(
+            f"slot role must be {FEATURE!r} or {TRAINABLE!r}, got {inst.slot.role!r}"
+        )
+    if not 0 <= inst.slot.index < slot_counts[inst.slot.role]:
+        raise ValueError(
+            f"{inst.slot.role} slot {inst.slot.index} outside the "
+            f"{slot_counts[inst.slot.role]} declared"
+        )
 
 
 @dataclass(frozen=True)

@@ -225,14 +225,6 @@ class SplitBundle:
     size: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "seed": self.seed,
-            "train_idx": self.train_idx.tolist(),
-            "test_idx": self.test_idx.tolist(),
-        }
-
 
 def subset_and_split(rows, size: int, seed: int) -> SplitBundle:
     """Sample ``size`` rows without replacement (seeded shuffle prefix) and

@@ -8,13 +8,15 @@ for non-negative targets).  Gradients use the exact parameter-shift rule
 for RY angles, and training runs the quasi-Newton minimiser for at most 25
 iterations from a seeded uniform initialisation.
 
-The six registered configurations share the same feature map and differ
-only in the ansatz entanglement pattern.  A fitted model's ansatz is
-therefore a fixed unitary: :class:`QnnModel` compiles it once when it is
-built, and :func:`predict` runs only the feature-encoding gates per request
-before applying that unitary as one matrix product.  Training still runs
-the ansatz gate by gate, because every loss and gradient call binds new
-parameters.
+The six registered configurations share the feature map and the circuit
+shape and differ only in the ansatz entanglement pattern, so a
+configuration is just a name and a strategy, and a fitted model is its
+configuration plus its parameters.  :class:`QnnModel` compiles the
+configuration's ansatz at those parameters into one unitary when it is
+built, and :func:`predict` runs only the feature map per request before
+applying that unitary as one matrix product.  Training still runs the
+ansatz gate by gate, because every loss and gradient call binds new
+parameters.  A custom circuit runs through :func:`circuits.evaluate_circuit`.
 """
 
 from __future__ import annotations
@@ -22,17 +24,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from . import circuits, engine
-from .circuits import (
-    FEATURE,
-    Circuit,
-    build_real_amplitudes,
-    build_z_feature_map,
-    compose,
-)
+from .circuits import Circuit, build_real_amplitudes, build_z_feature_map, compose
 from .data import ScalerParams
 from .lbfgs import OptimizeOptions, minimize
 
@@ -45,14 +42,14 @@ GRADIENT_BLOCK = 128
 
 @dataclass(frozen=True)
 class QnnConfig:
-    """One benchmark configuration: entanglement strategy plus the fixed
-    four-qubit, two-repetition circuit shape."""
+    """One benchmark configuration: a name and an ansatz entanglement
+    strategy.  The circuit shape is shared by every configuration."""
 
     name: str
     strategy: str
-    n_qubits: int = 4
-    feature_reps: int = 2
-    ansatz_reps: int = 2
+    n_qubits: ClassVar[int] = 4
+    feature_reps: ClassVar[int] = 2
+    ansatz_reps: ClassVar[int] = 2
 
     def feature_map(self) -> Circuit:
         return build_z_feature_map(self.n_qubits, self.feature_reps)
@@ -85,22 +82,26 @@ def config_by_name(name: str) -> QnnConfig:
 
 @dataclass(frozen=True)
 class QnnModel:
-    """A circuit with its fitted parameters, frozen so that the compiled
-    ansatz below can never go stale.
+    """A configuration with its fitted parameters, frozen so that the
+    compiled ansatz below can never go stale.
 
-    On construction the circuit is split after its last feature-slot
-    instruction: the prefix (the feature encoding) runs per request, and
-    the trainable-only suffix is compiled into its unitary once.
+    ``circuit`` must be ``config.circuit()``: the model is its configuration
+    plus its parameters, and training, loss and serialisation all read the
+    configuration.  On construction the configuration's feature map is kept
+    to run per request, and its ansatz is compiled into its unitary once.
     """
 
     config: QnnConfig
     circuit: Circuit
     params: np.ndarray
     _encoding: Circuit = field(init=False, compare=False, repr=False)
-    # transpose of the suffix unitary: dim-last states map as ``state @ _ansatz_t``
+    # transpose of the ansatz unitary: dim-last states map as ``state @ _ansatz_t``
     _ansatz_t: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        encoding, ansatz = self.config.feature_map(), self.config.ansatz()
+        if self.circuit != compose(encoding, ansatz):
+            raise ValueError(f"circuit is not the circuit of {self.config.name}")
         params = np.array(self.params, dtype=float).reshape(-1)
         if len(params) != self.circuit.n_trainable_slots:
             raise ValueError(
@@ -110,36 +111,22 @@ class QnnModel:
         if not np.all(np.isfinite(params)):
             raise ValueError("parameters must be finite")
         params.flags.writeable = False
-        circuit = self.circuit
-        cut = max(
-            (i + 1 for i, inst in enumerate(circuit.instructions)
-             if inst.slot is not None and inst.slot.role == FEATURE),
-            default=0,
-        )
-        encoding = Circuit(circuit.n_qubits, circuit.instructions[:cut],
-                           circuit.n_feature_slots, circuit.n_trainable_slots)
-        ansatz = Circuit(circuit.n_qubits, circuit.instructions[cut:],
-                         0, circuit.n_trainable_slots)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_encoding", encoding)
         object.__setattr__(self, "_ansatz_t", circuits.circuit_unitary(ansatz, params).T)
 
 
 def predict(model: QnnModel, features) -> float | np.ndarray:
-    """Observable expectation of the bound circuit; one value per feature
-    row, always in [-1, 1].
+    """Observable expectation of the model's circuit at its parameters; one
+    value per feature row, always in [-1, 1].
 
-    Only the feature-encoding gates run per call; the ansatz is applied as
-    the model's compiled unitary, one matrix product for the whole batch.
+    Only the feature map runs per call; the ansatz is applied as the
+    model's compiled unitary, one matrix product for the whole batch.
     """
     features = np.asarray(features, dtype=float)
-    if features.shape[-1] != model.circuit.n_feature_slots:
-        raise ValueError(
-            f"expected {model.circuit.n_feature_slots} features, got shape {features.shape}"
-        )
     batch = features.shape[0] if features.ndim == 2 else None
-    state = engine.zero_state(model.circuit.n_qubits, batch=batch)
-    circuits.run_circuit(model._encoding, state, features, model.params)
+    state = engine.zero_state(model.config.n_qubits, batch=batch)
+    circuits.run_circuit(model._encoding, state, features)
     return engine.expectation(state @ model._ansatz_t)
 
 
@@ -157,10 +144,6 @@ class CircuitObjective:
             X = np.atleast_2d(np.asarray(X, dtype=float))
             if len(X) != len(y):
                 raise ValueError("X and y lengths differ")
-            if X.shape[1] != feature_map.n_feature_slots:
-                raise ValueError(
-                    f"expected {feature_map.n_feature_slots} features, got {X.shape[1]}"
-                )
             circuits.run_circuit(feature_map, encoded.T, features=X)
         self.encoded = encoded  # shape (2**n, n_samples)
         self.ansatz = ansatz

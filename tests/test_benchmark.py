@@ -247,6 +247,10 @@ class TestExperimentConfig:
         {"models": []},
         {"seed": None},
         {"output_dir": 5},
+        {"timing": {"repeats": 0}},
+        {"timing": {"repeats": -3}},
+        {"timing": {"enabled": "false"}},
+        {"data": {"synthetic": "false"}},
     ])
     def test_malformed_entry_rejected(self, entry):
         with pytest.raises(ConfigError):

@@ -277,6 +277,32 @@ class TestCircuitUnitary:
             circuit_unitary(build_real_amplitudes(4, 2, "sca"), params)
 
 
+class TestCircuitValidation:
+    @pytest.mark.parametrize("inst", [
+        Instruction("rx", (0,), Slot("trainable", 0)),  # unknown gate
+        Instruction("swap", (0, 1)),
+        Instruction("ry", (0, 1), Slot("trainable", 0)),  # wrong arity
+        Instruction("h", ()),
+        Instruction("cnot", (1,)),
+        Instruction("cnot", (1, 1)),
+        Instruction("h", (2,)),  # qubit outside the register
+        Instruction("cnot", (0, -1)),
+        Instruction("h", (0,), Slot("feature", 0)),  # slot on a fixed gate
+        Instruction("cnot", (0, 1), Slot("trainable", 0)),
+        Instruction("p", (0,)),  # angle gate without a slot
+        Instruction("rz", (0,)),
+        Instruction("ry", (0,)),
+        Instruction("ry", (0,), Slot("Trainable", 0)),  # unknown role
+        Instruction("p", (0,), Slot("feature", 1)),  # index past the declared count
+        Instruction("ry", (1,), Slot("trainable", 2)),
+        Instruction("ry", (1,), Slot("trainable", -1)),
+    ])
+    def test_invalid_instruction_rejected(self, inst):
+        valid = (Instruction("h", (0,)), Instruction("p", (0,), Slot("feature", 0)))
+        with pytest.raises(ValueError):
+            Circuit(2, valid + (inst,), n_feature_slots=1, n_trainable_slots=2)
+
+
 class TestFormatCircuit:
     def test_instruction_lines(self):
         circuit = Circuit(

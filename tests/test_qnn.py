@@ -87,6 +87,29 @@ class TestConfigs:
         with pytest.raises(ValueError):
             QnnModel(config, config.circuit(), params)
 
+    def test_circuit_other_than_the_configs_rejected(self):
+        """A model is its config plus its parameters; a custom circuit runs
+        through ``evaluate_circuit`` instead."""
+        reuploading = Circuit(
+            2,
+            (
+                Instruction("ry", (0,), Slot("trainable", 0)),
+                Instruction("h", (1,)),
+                Instruction("p", (1,), Slot("feature", 0, 2.0)),
+                Instruction("cnot", (1, 0)),
+                Instruction("ry", (1,), Slot("trainable", 1)),
+                Instruction("p", (0,), Slot("feature", 1)),
+                Instruction("ry", (0,), Slot("trainable", 2)),
+                Instruction("cnot", (0, 1)),
+            ),
+            n_feature_slots=2,
+            n_trainable_slots=3,
+        )
+        config = QNN_CONFIGS["QNN-1"]
+        for circuit, n_params in ((QNN_CONFIGS["QNN-2"].circuit(), 12), (reuploading, 3)):
+            with pytest.raises(ValueError):
+                QnnModel(config, circuit, np.zeros(n_params))
+
 
 class TestPredict:
     def test_zero_everything_gives_plus_one(self):
@@ -133,29 +156,6 @@ class TestPredict:
             values = predict(model, features)
             assert np.shape(values) == np.shape(expected)
             np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
-
-    def test_trainable_gates_before_last_feature_stay_in_the_prefix(self, rng):
-        """Re-uploading layout: only the gates after the last feature slot
-        are compiled, whatever precedes it runs per request."""
-        circuit = Circuit(
-            2,
-            (
-                Instruction("ry", (0,), Slot("trainable", 0)),
-                Instruction("h", (1,)),
-                Instruction("p", (1,), Slot("feature", 0, 2.0)),
-                Instruction("cnot", (1, 0)),
-                Instruction("ry", (1,), Slot("trainable", 1)),
-                Instruction("p", (0,), Slot("feature", 1)),
-                Instruction("ry", (0,), Slot("trainable", 2)),
-                Instruction("cnot", (0, 1)),
-            ),
-            n_feature_slots=2,
-            n_trainable_slots=3,
-        )
-        model = QnnModel(QNN_CONFIGS["QNN-1"], circuit, rng.uniform(0, 2 * np.pi, 3))
-        features = rng.uniform(0, 1, (8, 2))
-        expected = engine.expectation(evaluate_circuit(circuit, features, model.params))
-        np.testing.assert_allclose(predict(model, features), expected, rtol=0, atol=1e-12)
 
     def test_model_is_frozen(self, rng):
         model = model_for("QNN-2", rng.uniform(0, 2 * np.pi, 12))
