@@ -21,11 +21,19 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
+def _finite_matrix(X, what: str) -> np.ndarray:
+    X = _as_matrix(X)
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{what} must be finite")
+    return X
+
+
 class KnnRegressor:
     """Mean-of-neighbours regression under Minkowski-p distance.
 
     Distance ties are broken toward the lower training index, making
-    predictions fully deterministic.
+    predictions fully deterministic.  Training rows and queries must be
+    finite (``ValueError`` otherwise).
     """
 
     def __init__(self, k: int = 5, p: float = 2.0):
@@ -39,7 +47,7 @@ class KnnRegressor:
         self.y_train: np.ndarray | None = None
 
     def fit(self, X, y) -> "KnnRegressor":
-        X = _as_matrix(X)
+        X = _finite_matrix(X, "training features")
         y = np.asarray(y, dtype=float).reshape(-1)
         if len(y) == 0:
             raise ValueError("cannot fit on an empty training set")
@@ -54,11 +62,26 @@ class KnnRegressor:
     def predict(self, X) -> np.ndarray:
         if self.X_train is None:
             raise ValueError("model is not fitted")
-        X = _as_matrix(X)
-        diffs = np.abs(X[:, None, :] - self.X_train[None, :, :])
-        dists = np.sum(diffs**self.p, axis=2) ** (1.0 / self.p)
-        # stable sort keeps the lower training index first on exact ties
-        nearest = np.argsort(dists, axis=1, kind="stable")[:, : self.k]
+        X = _finite_matrix(X, "query features")
+        if X.shape[1] != self.X_train.shape[1]:
+            raise ValueError(
+                f"expected {self.X_train.shape[1]} features, got shape {X.shape}"
+            )
+        # summed one feature column at a time, left to right, so the only
+        # buffers are (rows, train) however many features there are
+        dists = np.zeros((len(X), len(self.X_train)))
+        for f in range(X.shape[1]):
+            dists += np.abs(X[:, f, None] - self.X_train[:, f]) ** self.p
+        dists **= 1.0 / self.p
+        # candidates: every training row at or below the k-th smallest distance;
+        # a stable sort of those by (query, distance) keeps the lower training
+        # index first on exact ties, so the first k per query are the neighbours
+        kth = np.partition(dists, self.k - 1, axis=1)[:, self.k - 1, None]
+        query, train = np.nonzero(dists <= kth)
+        order = np.lexsort((dists[query, train], query))
+        counts = np.bincount(query, minlength=len(X))
+        first = np.cumsum(counts) - counts
+        nearest = train[order][first[:, None] + np.arange(self.k)]
         return self.y_train[nearest].mean(axis=1)
 
     def to_dict(self) -> dict:
@@ -186,7 +209,7 @@ class DecisionTreeRegressor:
     def predict(self, X) -> np.ndarray:
         if self.root is None:
             raise ValueError("model is not fitted")
-        X = _as_matrix(X)
+        X = _finite_matrix(X, "query features")
         out = np.empty(len(X))
         for i, row in enumerate(X):
             node = self.root

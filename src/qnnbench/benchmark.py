@@ -415,6 +415,8 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
     synthetic = _flag(data.get("synthetic", csv_path is None), "data.synthetic")
     if csv_path is None and not synthetic:
         raise ConfigError("'data' must supply a csv path or set synthetic=true")
+    if csv_path is not None and synthetic:
+        raise ConfigError("'data' gives a csv path and sets synthetic=true; choose one")
     column_map = data.get("column_map")
     if column_map is not None and not isinstance(column_map, dict):
         raise ConfigError(f"data.column_map must be an object, got {column_map!r}")

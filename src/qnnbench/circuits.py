@@ -9,7 +9,10 @@ and trainable slots (bound to optimiser parameters), and can be evaluated
 for a whole batch of feature vectors at once.  A circuit without feature
 slots can also be compiled, at fixed parameters, into its dense unitary
 (:func:`circuit_unitary`), which a fitted model applies in place of its
-ansatz gates.
+ansatz gates.  A one-qubit feature circuit can be run on every qubit of a
+register at once and the per-qubit states folded with Kronecker products
+(:func:`product_state`), which is how a fitted model encodes a request:
+the feature map has no two-qubit gates, so its state is such a product.
 """
 
 from __future__ import annotations
@@ -269,7 +272,7 @@ def run_circuit(circuit: Circuit, state: np.ndarray, features=None, params=None)
     batch = state.shape[:-1]
     features = _over_batch(features, batch)
     params = _over_batch(params, batch)
-    basis_first = np.moveaxis(state, -1, 0)
+    basis_first = state.transpose((state.ndim - 1,) + tuple(range(state.ndim - 1)))
     for inst in circuit.instructions:
         if inst.gate == "cnot":
             engine.apply_cnot_t(basis_first, *inst.qubits)
@@ -301,6 +304,46 @@ def evaluate_circuit(circuit: Circuit, features=None, params=None) -> np.ndarray
             batch = arr.shape[0]
     state = engine.zero_state(circuit.n_qubits, batch=batch)
     return run_circuit(circuit, state, features, params)
+
+
+def product_state(circuit: Circuit, features) -> np.ndarray:
+    """Register state prepared by running a one-qubit ``circuit`` on every
+    qubit, qubit ``q`` bound to feature column ``q``.
+
+    ``circuit`` must have one qubit, one feature slot and no trainable
+    slots, such as ``build_z_feature_map(1, reps)``.  It runs once through
+    :func:`run_circuit` on a one-qubit batch holding every (row, feature)
+    pair, and the per-qubit states are folded together with Kronecker
+    products, qubit 0 least significant: the state the ``n``-qubit version
+    of a circuit without two-qubit gates prepares, from ``1/n`` of its gate
+    calls.  Returns ``(2**n,)`` for a feature vector of length ``n``, or
+    ``(batch, 2**n)`` for a batch.
+    """
+    if circuit.n_qubits != 1 or circuit.n_feature_slots != 1 or circuit.n_trainable_slots:
+        raise ValueError(
+            "product_state needs a one-qubit circuit with one feature slot and "
+            f"no trainable slots, got {circuit.n_qubits} qubit(s), "
+            f"{circuit.n_feature_slots} feature and {circuit.n_trainable_slots} "
+            "trainable slot(s)"
+        )
+    features = np.asarray(features, dtype=float)
+    if features.ndim not in (1, 2) or features.shape[-1] == 0:
+        raise ValueError(
+            f"expected a feature vector or a batch of them, got shape {features.shape}"
+        )
+    n_qubits = features.shape[-1]
+    if n_qubits > engine.MAX_QUBITS:
+        raise ValueError(
+            f"{n_qubits} features exceed the dense-simulation guard {engine.MAX_QUBITS}"
+        )
+    qubits = engine.zero_state(1, batch=features.size)
+    run_circuit(circuit, qubits, features.reshape(-1, 1))
+    qubits = qubits.reshape(features.shape + (2,))
+    lead = features.shape[:-1]
+    state = qubits[..., 0, :]
+    for q in range(1, n_qubits):  # qubit q becomes the next more significant bit
+        state = (qubits[..., q, :, None] * state[..., None, :]).reshape(lead + (2 << q,))
+    return state
 
 
 def circuit_unitary(circuit: Circuit, params=None) -> np.ndarray:

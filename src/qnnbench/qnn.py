@@ -13,10 +13,14 @@ shape and differ only in the ansatz entanglement pattern, so a
 configuration is just a name and a strategy, and a fitted model is its
 configuration plus its parameters.  :class:`QnnModel` compiles the
 configuration's ansatz at those parameters into one unitary when it is
-built, and :func:`predict` runs only the feature map per request before
-applying that unitary as one matrix product.  Training still runs the
-ansatz gate by gate, because every loss and gradient call binds new
-parameters.  A custom circuit runs through :func:`circuits.evaluate_circuit`.
+built.  The feature map has no two-qubit gates, so :func:`predict` runs its
+one-qubit version once per (row, feature) pair and folds the per-qubit
+states into the register state with Kronecker products
+(:func:`circuits.product_state`), then applies the compiled ansatz as one
+matrix product.  Training still encodes with the four-qubit feature map
+(once per fit) and runs the ansatz gate by gate, because every loss and
+gradient call binds new parameters.  A custom circuit runs through
+:func:`circuits.evaluate_circuit`.
 """
 
 from __future__ import annotations
@@ -87,20 +91,22 @@ class QnnModel:
 
     ``circuit`` must be ``config.circuit()``: the model is its configuration
     plus its parameters, and training, loss and serialisation all read the
-    configuration.  On construction the configuration's feature map is kept
-    to run per request, and its ansatz is compiled into its unitary once.
+    configuration.  On construction the one-qubit version of the
+    configuration's feature map is kept to run per request, and its ansatz
+    is compiled into its unitary once.
     """
 
     config: QnnConfig
     circuit: Circuit
     params: np.ndarray
+    # the feature map on one qubit, run per (row, feature) by product_state
     _encoding: Circuit = field(init=False, compare=False, repr=False)
     # transpose of the ansatz unitary: dim-last states map as ``state @ _ansatz_t``
     _ansatz_t: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        encoding, ansatz = self.config.feature_map(), self.config.ansatz()
-        if self.circuit != compose(encoding, ansatz):
+        ansatz = self.config.ansatz()
+        if self.circuit != compose(self.config.feature_map(), ansatz):
             raise ValueError(f"circuit is not the circuit of {self.config.name}")
         params = np.array(self.params, dtype=float).reshape(-1)
         if len(params) != self.circuit.n_trainable_slots:
@@ -112,7 +118,9 @@ class QnnModel:
             raise ValueError("parameters must be finite")
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_encoding", encoding)
+        object.__setattr__(
+            self, "_encoding", build_z_feature_map(1, self.config.feature_reps)
+        )
         object.__setattr__(self, "_ansatz_t", circuits.circuit_unitary(ansatz, params).T)
 
 
@@ -120,13 +128,16 @@ def predict(model: QnnModel, features) -> float | np.ndarray:
     """Observable expectation of the model's circuit at its parameters; one
     value per feature row, always in [-1, 1].
 
-    Only the feature map runs per call; the ansatz is applied as the
-    model's compiled unitary, one matrix product for the whole batch.
+    Per call only the one-qubit feature map runs, once per (row, feature)
+    pair, and :func:`circuits.product_state` folds the per-qubit states
+    into the register state; the ansatz is applied as the model's compiled
+    unitary, one matrix product for the whole batch.
     """
     features = np.asarray(features, dtype=float)
-    batch = features.shape[0] if features.ndim == 2 else None
-    state = engine.zero_state(model.config.n_qubits, batch=batch)
-    circuits.run_circuit(model._encoding, state, features)
+    n_qubits = model.config.n_qubits
+    if features.shape[-1:] != (n_qubits,):
+        raise ValueError(f"expected {n_qubits} features, got shape {features.shape}")
+    state = circuits.product_state(model._encoding, features)
     return engine.expectation(state @ model._ansatz_t)
 
 

@@ -38,6 +38,24 @@ class TestKnn:
         model = KnnRegressor(k=1).fit([[1.0], [-1.0]], [111.0, 222.0])
         np.testing.assert_allclose(model.predict([[0.0]]), [111.0])
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_ties_at_the_kth_distance_prefer_lower_index(self, rng, p):
+        # integer grid: many training rows share the k-th distance exactly
+        X = rng.integers(0, 3, size=(60, 2)).astype(float)
+        y = rng.normal(size=60)
+        queries = rng.integers(0, 3, size=(20, 2)).astype(float)
+        for k in (1, 3, 5, 12):
+            got = KnnRegressor(k=k, p=p).fit(X, y).predict(queries)
+            expected = [_oracles.knn_predict(X, y, q, k=k, p=p) for q in queries]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_tie_straddling_k_keeps_lowest_indices(self):
+        # four rows at distance 1 for k=3: the lowest three indices win
+        X = [[5.0], [1.0], [-1.0], [1.0], [-1.0], [0.5]]
+        y = [100.0, 1.0, 2.0, 4.0, 8.0, 16.0]
+        got = KnnRegressor(k=3).fit(X, y).predict([[0.0]])
+        np.testing.assert_array_equal(got, [(16.0 + 1.0 + 2.0) / 3])
+
     def test_zero_training_error_with_k_one(self, rng):
         X = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
@@ -63,6 +81,21 @@ class TestKnn:
     def test_predict_before_fit_rejected(self):
         with pytest.raises(ValueError):
             KnnRegressor().predict([[1.0]])
+
+    def test_wrong_feature_count_rejected(self):
+        model = KnnRegressor(k=1).fit([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0])
+        for queries in ([[0.0]], [[0.0, 1.0, 2.0]]):
+            with pytest.raises(ValueError):
+                model.predict(queries)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]
+        model = KnnRegressor(k=2).fit(X, [10.0, 20.0, 90.0])
+        with pytest.raises(ValueError):
+            model.predict([[0.5, 0.5], [bad, 0.5]])
+        with pytest.raises(ValueError):
+            KnnRegressor(k=2).fit([[0.0, 1.0], [1.0, bad], [2.0, 2.0]], [1.0, 2.0, 3.0])
 
     def test_json_round_trip(self, rng):
         X = rng.normal(size=(10, 2))
@@ -115,6 +148,12 @@ class TestDecisionTree:
     def test_empty_training_rejected(self):
         with pytest.raises(ValueError):
             DecisionTreeRegressor().fit(np.empty((0, 1)), [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        model = DecisionTreeRegressor().fit([[0.0], [1.0]], [10.0, 90.0])
+        with pytest.raises(ValueError):
+            model.predict([[0.5], [bad]])
 
     def test_json_round_trip(self, rng):
         X = rng.normal(size=(20, 2))

@@ -251,6 +251,7 @@ class TestExperimentConfig:
         {"timing": {"repeats": -3}},
         {"timing": {"enabled": "false"}},
         {"data": {"synthetic": "false"}},
+        {"data": {"csv": "wind.csv", "synthetic": True}},
     ])
     def test_malformed_entry_rejected(self, entry):
         with pytest.raises(ConfigError):

@@ -15,6 +15,7 @@ from qnnbench.circuits import (
     evaluate_circuit,
     format_circuit,
     gate_census,
+    product_state,
     run_circuit,
 )
 
@@ -275,6 +276,48 @@ class TestCircuitUnitary:
         params[5] = bad
         with pytest.raises(ValueError):
             circuit_unitary(build_real_amplitudes(4, 2, "sca"), params)
+
+
+class TestProductState:
+    @pytest.mark.parametrize("n_qubits", range(1, 7))
+    @pytest.mark.parametrize("reps", (1, 2, 3))
+    def test_matches_full_feature_map(self, rng, n_qubits, reps):
+        for phase_gate in ("p", "rz"):
+            one = build_z_feature_map(1, reps, phase_gate)
+            full = build_z_feature_map(n_qubits, reps, phase_gate)
+            for features in (rng.uniform(-2, 2, n_qubits), rng.uniform(-2, 2, (5, n_qubits))):
+                state = product_state(one, features)
+                expected = evaluate_circuit(full, features)
+                assert state.shape == expected.shape
+                np.testing.assert_allclose(state, expected, rtol=0, atol=1e-14)
+
+    def test_empty_batch(self):
+        state = product_state(build_z_feature_map(1, 2), np.zeros((0, 4)))
+        assert state.shape == (0, 16)
+
+    @pytest.mark.parametrize("circuit", [
+        build_z_feature_map(2, 1),
+        Circuit(1, (Instruction("ry", (0,), Slot("trainable", 0)),), 0, 1),
+        Circuit(1, (Instruction("p", (0,), Slot("feature", 0)),
+                    Instruction("ry", (0,), Slot("trainable", 0))), 1, 1),
+        Circuit(1, (Instruction("h", (0,)),), 0, 0),
+    ])
+    def test_other_circuits_rejected(self, circuit):
+        with pytest.raises(ValueError):
+            product_state(circuit, np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 2, 4)])
+    def test_feature_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            product_state(build_z_feature_map(1, 2), np.zeros(shape))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_non_finite_angle_rejected(self, bad):
+        features = np.zeros((3, 4))
+        features[1, 2] = bad
+        with pytest.raises(ValueError):
+            product_state(build_z_feature_map(1, 2), features)
 
 
 class TestCircuitValidation:

@@ -134,6 +134,11 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(model_for("QNN-2"), np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(), (2, 2, 4), (2, 5)])
+    def test_feature_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            predict(model_for("QNN-2"), np.zeros(shape))
+
     # 1e308 is finite, but the feature map doubles it into an infinite angle
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
@@ -147,7 +152,7 @@ class TestPredict:
         with pytest.raises(ValueError):
             evaluate_circuit(model.circuit, features, model.params)
 
-    @pytest.mark.parametrize("shape", [(4,), (1, 4), (16, 4), (256, 4)])
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (16, 4), (256, 4), (0, 4)])
     def test_compiled_ansatz_matches_gate_loop(self, rng, shape):
         for name in QNN_CONFIGS:
             model = model_for(name, rng.uniform(0, 2 * np.pi, 12))
