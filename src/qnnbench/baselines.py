@@ -4,7 +4,8 @@ least squares.
 
 All three are deterministic given their training data (no RNG anywhere)
 and fitted models are immutable, so they can be shared across threads.
-Each model serialises to a plain dict for JSON storage.
+Non-finite training features, targets or query features raise
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -14,26 +15,27 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _as_matrix(X) -> np.ndarray:
+def _finite_matrix(X, what: str) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
-    return X
-
-
-def _finite_matrix(X, what: str) -> np.ndarray:
-    X = _as_matrix(X)
     if not np.all(np.isfinite(X)):
         raise ValueError(f"{what} must be finite")
     return X
+
+
+def _finite_targets(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("training targets must be finite")
+    return y
 
 
 class KnnRegressor:
     """Mean-of-neighbours regression under Minkowski-p distance.
 
     Distance ties are broken toward the lower training index, making
-    predictions fully deterministic.  Training rows and queries must be
-    finite (``ValueError`` otherwise).
+    predictions fully deterministic.
     """
 
     def __init__(self, k: int = 5, p: float = 2.0):
@@ -48,7 +50,7 @@ class KnnRegressor:
 
     def fit(self, X, y) -> "KnnRegressor":
         X = _finite_matrix(X, "training features")
-        y = np.asarray(y, dtype=float).reshape(-1)
+        y = _finite_targets(y)
         if len(y) == 0:
             raise ValueError("cannot fit on an empty training set")
         if len(y) != len(X):
@@ -84,20 +86,6 @@ class KnnRegressor:
         nearest = train[order][first[:, None] + np.arange(self.k)]
         return self.y_train[nearest].mean(axis=1)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "knn",
-            "k": self.k,
-            "p": self.p,
-            "X_train": self.X_train.tolist(),
-            "y_train": self.y_train.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "KnnRegressor":
-        model = cls(k=payload["k"], p=payload["p"])
-        return model.fit(payload["X_train"], payload["y_train"])
-
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -113,27 +101,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.value is not None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TreeNode":
-        if "value" in payload:
-            return cls(value=payload["value"])
-        return cls(
-            feature=payload["feature"],
-            threshold=payload["threshold"],
-            left=cls.from_dict(payload["left"]),
-            right=cls.from_dict(payload["right"]),
-        )
 
 
 # Two candidate splits inducing the same sample partition have equal SSE in
@@ -197,8 +164,8 @@ class DecisionTreeRegressor:
         self.root: TreeNode | None = None
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
-        X = _as_matrix(X)
-        y = np.asarray(y, dtype=float).reshape(-1)
+        X = _finite_matrix(X, "training features")
+        y = _finite_targets(y)
         if len(y) == 0:
             raise ValueError("cannot fit on an empty training set")
         if len(y) != len(X):
@@ -218,15 +185,6 @@ class DecisionTreeRegressor:
             out[i] = node.value
         return out
 
-    def to_dict(self) -> dict:
-        return {"kind": "decision_tree", "root": self.root.to_dict()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DecisionTreeRegressor":
-        model = cls()
-        model.root = TreeNode.from_dict(payload["root"])
-        return model
-
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -238,30 +196,14 @@ class LinearModel:
     rank_deficient: bool = False
 
     def predict(self, X) -> np.ndarray:
-        return _as_matrix(X) @ self.weights + self.intercept
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "linear",
-            "weights": self.weights.tolist(),
-            "intercept": self.intercept,
-            "rank_deficient": self.rank_deficient,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LinearModel":
-        return cls(
-            weights=np.asarray(payload["weights"], dtype=float),
-            intercept=float(payload["intercept"]),
-            rank_deficient=bool(payload["rank_deficient"]),
-        )
+        return _finite_matrix(X, "query features") @ self.weights + self.intercept
 
 
 def ols_fit(X, y) -> LinearModel:
     """Ordinary least squares via an orthogonal decomposition (SVD-backed
     ``lstsq``); rank-deficient designs yield the minimum-norm solution."""
-    X = _as_matrix(X)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    X = _finite_matrix(X, "training features")
+    y = _finite_targets(y)
     if len(y) != len(X):
         raise ValueError("X and y lengths differ")
     if len(y) <= X.shape[1]:

@@ -89,9 +89,7 @@ class BenchmarkError(Exception):
 class FoldPlan:
     """Seeded shuffle-then-chunk assignment of sample indices to k folds."""
 
-    n_samples: int
     k: int
-    seed: int
     assignments: np.ndarray  # fold id per sample index
 
     def val_indices(self, fold: int) -> np.ndarray:
@@ -112,7 +110,7 @@ def kfold_plan(n: int, k: int, seed: int) -> FoldPlan:
     assignments = np.empty(n, dtype=int)
     for fold, chunk in enumerate(np.array_split(perm, k)):
         assignments[chunk] = fold
-    return FoldPlan(n_samples=n, k=k, seed=seed, assignments=assignments)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +435,7 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
         for key, kind in _OPTIMIZER_KEYS.items() if key in section
     })
     try:
-        optimizer.validate(dim=0)  # no bounds, so the dimension is unused
+        optimizer.validate()
     except ValueError as exc:
         raise ConfigError(f"optimizer: {exc}") from None
 

@@ -222,8 +222,6 @@ class SplitBundle:
 
     train_idx: np.ndarray
     test_idx: np.ndarray
-    size: int
-    seed: int
 
 
 def subset_and_split(rows, size: int, seed: int) -> SplitBundle:
@@ -236,12 +234,7 @@ def subset_and_split(rows, size: int, seed: int) -> SplitBundle:
         raise ValueError(f"subset size {size} exceeds {n} available rows")
     chosen = np.random.default_rng(seed).permutation(n)[:size]
     n_train = (4 * size) // 5
-    return SplitBundle(
-        train_idx=chosen[:n_train],
-        test_idx=chosen[n_train:],
-        size=size,
-        seed=seed,
-    )
+    return SplitBundle(train_idx=chosen[:n_train], test_idx=chosen[n_train:])
 
 
 def power_curve(velocity) -> np.ndarray:

@@ -9,10 +9,10 @@ the same circuit in one call.
 Each gate kind has exactly one arithmetic body: the basis-first kernel
 ``apply_<gate>_t``, which takes states shaped ``(2**n, *batch)``.  The
 public dim-last functions (``apply_h``, ``apply_p``, ``apply_rz``,
-``apply_ry``, ``apply_cnot``, ``apply_single_qubit``) take states shaped
-``(2**n,)`` or ``(*batch, 2**n)``, validate their angles, and run that
-kernel on a view with the basis axis moved to the front, so the update
-lands in the caller's array.
+``apply_ry``, ``apply_cnot``) take states shaped ``(2**n,)`` or
+``(*batch, 2**n)``, validate their angles, and run that kernel on a view
+with the basis axis moved to the front, so the update lands in the
+caller's array.
 
 Gates update amplitudes in place through strided views and never
 materialise the ``2**n x 2**n`` operator (the dense-matrix route exists
@@ -36,33 +36,6 @@ MAX_QUBITS = 24
 GATE_KINDS = ("h", "p", "rz", "ry", "cnot")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def gate_matrix(kind: str, angle: float = 0.0) -> np.ndarray:
-    """Return the unitary matrix for a single gate.
-
-    ``kind`` is one of ``h`` (Hadamard), ``p`` (phase shift by ``angle``),
-    ``rz`` / ``ry`` (axis rotations by ``angle``), or ``cnot`` (4x4,
-    control = first qubit).  ``angle`` is ignored for ``h`` and ``cnot``.
-    """
-    if not np.isfinite(angle):
-        raise ValueError(f"gate angle must be finite, got {angle!r}")
-    if kind == "h":
-        return np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
-    if kind == "p":
-        return np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=complex)
-    if kind == "rz":
-        return np.array(
-            [[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]], dtype=complex
-        )
-    if kind == "ry":
-        c, s = math.cos(angle / 2), math.sin(angle / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == "cnot":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    raise ValueError(f"unknown gate kind {kind!r}; expected one of {GATE_KINDS}")
 
 
 def zero_state(n_qubits: int, batch: int | None = None) -> np.ndarray:
@@ -195,18 +168,6 @@ def _angle_factor(state: np.ndarray, angle) -> np.ndarray | float:
     return arr.reshape(arr.shape + (1,) * (len(lead) - arr.ndim))
 
 
-def apply_single_qubit(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply a 2x2 unitary to one qubit; mutates and returns ``state``."""
-    matrix = np.asarray(matrix)
-    if matrix.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 gate matrix, got shape {matrix.shape}")
-    s0, s1 = _views_t(np.moveaxis(state, -1, 0), qubit)
-    new0 = matrix[0, 0] * s0 + matrix[0, 1] * s1
-    s1[...] = matrix[1, 0] * s0 + matrix[1, 1] * s1
-    s0[...] = new0
-    return state
-
-
 def apply_h(state: np.ndarray, qubit: int) -> np.ndarray:
     """Hadamard on one qubit; mutates and returns ``state``."""
     apply_h_t(np.moveaxis(state, -1, 0), qubit)
@@ -241,7 +202,7 @@ def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# observables
+# parity-Z observable
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +212,7 @@ def _parity_signs(dim: int) -> np.ndarray:
     return 1.0 - 2.0 * parity
 
 
-def parity_z_expectation(state: np.ndarray):
+def expectation(state: np.ndarray):
     """<Z x Z x ... x Z> of a dim-last statevector (or of each state in a
     batch).
 
@@ -263,14 +224,7 @@ def parity_z_expectation(state: np.ndarray):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def expectation(state: np.ndarray, observable: str = "parity_z"):
-    """Expectation value of a named observable on a dim-last ``state``."""
-    if observable != "parity_z":
-        raise ValueError(f"unknown observable {observable!r}")
-    return parity_z_expectation(state)
-
-
 def parity_z_expectation_t(state: np.ndarray) -> np.ndarray:
-    """:func:`parity_z_expectation` of a basis-first state, per batch entry."""
+    """:func:`expectation` of a basis-first state, per batch entry."""
     prob = state.real**2 + state.imag**2
     return np.tensordot(_parity_signs(state.shape[0]), prob, axes=(0, 0))

@@ -1,14 +1,11 @@
-"""Limited-memory quasi-Newton minimiser with optional box bounds.
+"""Unconstrained limited-memory quasi-Newton minimiser (L-BFGS).
 
 Search directions come from the standard two-loop recursion over the last
 ``memory`` curvature pairs, with the initial inverse-Hessian scaled by
-gamma = s.y / y.y.  Unconstrained steps use a strong-Wolfe line search
-(c1 = 1e-4, c2 = 0.9) with cubic interpolation, followed by one secant
-refinement of the step length; the refinement makes line searches exact on
-quadratics, so the method inherits conjugate-gradient-style finite
-termination there.  When bounds are supplied, iterates follow the
-projected path clip(x + alpha*d) under an Armijo condition and convergence
-is measured on the projected gradient.
+gamma = s.y / y.y.  Steps use a strong-Wolfe line search (c1 = 1e-4,
+c2 = 0.9) with cubic interpolation, followed by one secant refinement of
+the step length; the refinement makes line searches exact on quadratics,
+so the method inherits conjugate-gradient-style finite termination there.
 
 The objective and gradient callbacks are only ever invoked from the
 calling thread.
@@ -33,21 +30,14 @@ class OptimizeOptions:
     max_iter: int = 25
     grad_tol: float = 1e-8
     memory: int = 10
-    bounds: list[tuple[float, float]] | None = None
 
-    def validate(self, dim: int) -> None:
+    def validate(self) -> None:
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be > 0")
         if self.memory < 1:
             raise ValueError("memory must be >= 1")
-        if self.bounds is not None:
-            if len(self.bounds) != dim:
-                raise ValueError(f"need one (lo, hi) pair per coordinate ({dim})")
-            for lo, hi in self.bounds:
-                if lo > hi:
-                    raise ValueError(f"invalid bound pair ({lo}, {hi})")
 
 
 @dataclass
@@ -59,19 +49,8 @@ class OptimizeResult:
     termination: str
 
 
-def _bounds_arrays(bounds):
-    if bounds is None:
-        return None, None
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
-    return lo, hi
-
-
-def _projected_grad_norm(x, g, lo, hi):
-    if lo is None:
-        return float(np.max(np.abs(g))) if x.size else 0.0
-    step = np.clip(x - g, lo, hi) - x
-    return float(np.max(np.abs(step))) if x.size else 0.0
+def _grad_norm(g):
+    return float(np.max(np.abs(g))) if g.size else 0.0
 
 
 def _two_loop_direction(g, s_hist, y_hist, rho_hist):
@@ -186,35 +165,17 @@ def _wolfe_line_search(line, phi0, dphi0, alpha_init, max_expand=25):
     return None
 
 
-def _projected_backtrack(f, x, fx, g, d, lo, hi, max_halvings=40):
-    """Armijo backtracking along the projected path clip(x + alpha*d)."""
-    alpha = 1.0
-    for _ in range(max_halvings):
-        x_t = np.clip(x + alpha * d, lo, hi)
-        step = x_t - x
-        decrease = float(g @ step)
-        if decrease < 0:
-            f_t = float(f(x_t))
-            if np.isfinite(f_t) and f_t <= fx + WOLFE_C1 * decrease:
-                return x_t, f_t
-        alpha *= 0.5
-    return None
-
-
 def minimize(f, grad, x0, options: OptimizeOptions | None = None) -> OptimizeResult:
     """Minimise ``f`` from ``x0`` using its gradient callback.
 
-    Stops when the (projected) gradient infinity-norm drops to
-    ``options.grad_tol``, after ``options.max_iter`` accepted iterations,
-    or when the line search cannot make progress (the best iterate found
-    so far is returned in that case).
+    Stops when the gradient infinity-norm drops to ``options.grad_tol``,
+    after ``options.max_iter`` accepted iterations, or when the line search
+    cannot make progress (the best iterate found so far is returned in that
+    case).
     """
     opts = options if options is not None else OptimizeOptions()
     x = np.array(x0, dtype=float).reshape(-1).copy()
-    opts.validate(x.size)
-    lo, hi = _bounds_arrays(opts.bounds)
-    if lo is not None and (np.any(x < lo) or np.any(x > hi)):
-        raise ValueError("x0 must lie within the supplied bounds")
+    opts.validate()
 
     fx = float(f(x))
     if not np.isfinite(fx):
@@ -228,32 +189,24 @@ def minimize(f, grad, x0, options: OptimizeOptions | None = None) -> OptimizeRes
     termination = None
 
     for _ in range(opts.max_iter):
-        if _projected_grad_norm(x, g, lo, hi) <= opts.grad_tol:
+        if _grad_norm(g) <= opts.grad_tol:
             termination = GRAD_TOL_TERMINATION
             break
         d = _two_loop_direction(g, s_hist, y_hist, rho_hist)
         if float(d @ g) >= 0:  # keep a descent direction under bad curvature
             d = -g
 
-        if lo is None:
-            if s_hist:
-                alpha_init = 1.0
-            else:
-                alpha_init = min(1.0, 1.0 / max(1e-12, float(np.linalg.norm(g))))
-            line = _LineFunction(f, grad, x, d)
-            alpha = _wolfe_line_search(line, fx, float(g @ d), alpha_init)
-            if alpha is None:
-                termination = LINE_SEARCH_FAIL_TERMINATION
-                break
-            f_new, g_new = line.evals[alpha]
-            x_new = x + alpha * d
+        if s_hist:
+            alpha_init = 1.0
         else:
-            result = _projected_backtrack(f, x, fx, g, d, lo, hi)
-            if result is None:
-                termination = LINE_SEARCH_FAIL_TERMINATION
-                break
-            x_new, f_new = result
-            g_new = np.asarray(grad(x_new), dtype=float)
+            alpha_init = min(1.0, 1.0 / max(1e-12, float(np.linalg.norm(g))))
+        line = _LineFunction(f, grad, x, d)
+        alpha = _wolfe_line_search(line, fx, float(g @ d), alpha_init)
+        if alpha is None:
+            termination = LINE_SEARCH_FAIL_TERMINATION
+            break
+        f_new, g_new = line.evals[alpha]
+        x_new = x + alpha * d
 
         s = x_new - x
         y = g_new - g
@@ -270,7 +223,7 @@ def minimize(f, grad, x0, options: OptimizeOptions | None = None) -> OptimizeRes
         f_history.append(fx)
 
     if termination is None:
-        if _projected_grad_norm(x, g, lo, hi) <= opts.grad_tol:
+        if _grad_norm(g) <= opts.grad_tol:
             termination = GRAD_TOL_TERMINATION
         else:
             termination = MAX_ITER_TERMINATION

@@ -144,42 +144,6 @@ class TestContracts:
         np.testing.assert_allclose(result.x_final, [1.0, 1.0])
 
 
-class TestBounds:
-    def test_iterates_stay_within_bounds(self):
-        f, g = quadratic([5.0, -5.0])
-        seen = []
-
-        def recording_f(x):
-            seen.append(np.array(x))
-            return f(x)
-
-        bounds = [(-1.0, 1.0), (-2.0, 2.0)]
-        result = minimize(
-            recording_f, g, np.zeros(2), OptimizeOptions(max_iter=50, bounds=bounds)
-        )
-        np.testing.assert_allclose(result.x_final, [1.0, -2.0], atol=1e-8)
-        for x in seen:
-            assert np.all(x >= [-1.0, -2.0]) and np.all(x <= [1.0, 2.0])
-
-    def test_interior_solution_found(self):
-        f, g = quadratic([0.25, -0.5])
-        result = minimize(
-            f, g, np.zeros(2),
-            OptimizeOptions(max_iter=50, bounds=[(-1.0, 1.0), (-1.0, 1.0)]),
-        )
-        np.testing.assert_allclose(result.x_final, [0.25, -0.5], atol=1e-7)
-
-    def test_start_outside_bounds_rejected(self):
-        f, g = quadratic([0.0, 0.0])
-        with pytest.raises(ValueError):
-            minimize(f, g, np.array([2.0, 0.0]), OptimizeOptions(bounds=[(-1, 1), (-1, 1)]))
-
-    def test_invalid_bound_pair_rejected(self):
-        f, g = quadratic([0.0])
-        with pytest.raises(ValueError):
-            minimize(f, g, np.zeros(1), OptimizeOptions(bounds=[(1.0, -1.0)]))
-
-
 class TestOptionValidation:
     def test_bad_options_rejected(self):
         f, g = quadratic([0.0])
