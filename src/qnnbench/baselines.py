@@ -4,8 +4,9 @@ least squares.
 
 All three are deterministic given their training data (no RNG anywhere)
 and fitted models are immutable, so they can be shared across threads.
-Non-finite training features, targets or query features raise
-``ValueError``.
+Like the QNN models they take the contract of :func:`data.check_training_set`
+and :func:`data.check_features`: a ``(rows, width)`` query returns
+``(rows,)`` and one 1-D row returns a float.
 """
 
 from __future__ import annotations
@@ -14,21 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _finite_matrix(X, what: str) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if not np.all(np.isfinite(X)):
-        raise ValueError(f"{what} must be finite")
-    return X
-
-
-def _finite_targets(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("training targets must be finite")
-    return y
+from .data import check_features, check_training_set
 
 
 class KnnRegressor:
@@ -49,26 +36,18 @@ class KnnRegressor:
         self.y_train: np.ndarray | None = None
 
     def fit(self, X, y) -> "KnnRegressor":
-        X = _finite_matrix(X, "training features")
-        y = _finite_targets(y)
-        if len(y) == 0:
-            raise ValueError("cannot fit on an empty training set")
-        if len(y) != len(X):
-            raise ValueError("X and y lengths differ")
+        X, y = check_training_set(X, y)
         if self.k > len(y):
             raise ValueError(f"k={self.k} exceeds training size {len(y)}")
         self.X_train = X
         self.y_train = y
         return self
 
-    def predict(self, X) -> np.ndarray:
+    def predict(self, X) -> np.ndarray | float:
         if self.X_train is None:
             raise ValueError("model is not fitted")
-        X = _finite_matrix(X, "query features")
-        if X.shape[1] != self.X_train.shape[1]:
-            raise ValueError(
-                f"expected {self.X_train.shape[1]} features, got shape {X.shape}"
-            )
+        request = check_features(X, self.X_train.shape[1])
+        X = np.atleast_2d(request)
         # summed one feature column at a time, left to right, so the only
         # buffers are (rows, train) however many features there are
         dists = np.zeros((len(X), len(self.X_train)))
@@ -84,7 +63,8 @@ class KnnRegressor:
         counts = np.bincount(query, minlength=len(X))
         first = np.cumsum(counts) - counts
         nearest = train[order][first[:, None] + np.arange(self.k)]
-        return self.y_train[nearest].mean(axis=1)
+        out = self.y_train[nearest].mean(axis=1)
+        return out if request.ndim == 2 else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -162,28 +142,26 @@ class DecisionTreeRegressor:
 
     def __init__(self):
         self.root: TreeNode | None = None
+        self.n_features = 0
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
-        X = _finite_matrix(X, "training features")
-        y = _finite_targets(y)
-        if len(y) == 0:
-            raise ValueError("cannot fit on an empty training set")
-        if len(y) != len(X):
-            raise ValueError("X and y lengths differ")
+        X, y = check_training_set(X, y)
         self.root = _grow(X, y)
+        self.n_features = X.shape[1]
         return self
 
-    def predict(self, X) -> np.ndarray:
+    def predict(self, X) -> np.ndarray | float:
         if self.root is None:
             raise ValueError("model is not fitted")
-        X = _finite_matrix(X, "query features")
+        request = check_features(X, self.n_features)
+        X = np.atleast_2d(request)
         out = np.empty(len(X))
         for i, row in enumerate(X):
             node = self.root
             while not node.is_leaf:
                 node = node.left if row[node.feature] <= node.threshold else node.right
             out[i] = node.value
-        return out
+        return out if request.ndim == 2 else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -195,17 +173,16 @@ class LinearModel:
     intercept: float
     rank_deficient: bool = False
 
-    def predict(self, X) -> np.ndarray:
-        return _finite_matrix(X, "query features") @ self.weights + self.intercept
+    def predict(self, X) -> np.ndarray | float:
+        request = check_features(X, len(self.weights))
+        out = np.atleast_2d(request) @ self.weights + self.intercept
+        return out if request.ndim == 2 else float(out[0])
 
 
 def ols_fit(X, y) -> LinearModel:
     """Ordinary least squares via an orthogonal decomposition (SVD-backed
     ``lstsq``); rank-deficient designs yield the minimum-norm solution."""
-    X = _finite_matrix(X, "training features")
-    y = _finite_targets(y)
-    if len(y) != len(X):
-        raise ValueError("X and y lengths differ")
+    X, y = check_training_set(X, y)
     if len(y) <= X.shape[1]:
         raise ValueError(f"need more than {X.shape[1]} samples, got {len(y)}")
     design = np.column_stack([X, np.ones(len(y))])

@@ -168,6 +168,35 @@ class ScalerParams:
         )
 
 
+def check_features(X, width: int) -> np.ndarray:
+    """The query contract of every model: one row of ``width`` finite
+    features, or a ``(rows, width)`` array of them.  Returns ``X`` as a
+    float array of its own shape; anything else raises ``ValueError``
+    before any arithmetic."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != width:
+        raise ValueError(f"expected rows of {width} features, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
+    return X
+
+
+def check_training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """The training contract of every model: a ``(rows, features)`` array
+    and one target per row, non-empty and finite, as float arrays."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise ValueError(
+            f"expected (rows, features) and (rows,) arrays, got shapes {X.shape} and {y.shape}"
+        )
+    if len(y) == 0:
+        raise ValueError("the training set is empty")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("training features and targets must be finite")
+    return X, y
+
+
 def minmax_fit(X: np.ndarray, y: np.ndarray) -> ScalerParams:
     """Fit column extrema on training data.  Constant columns are allowed
     (they later scale to 0) but emit a warning."""
@@ -201,7 +230,7 @@ def minmax_apply(params: ScalerParams, X: np.ndarray, y: np.ndarray | None = Non
     Training values land in [0, 1]; values outside the fitted range (e.g.
     test rows) scale outside [0, 1] without clamping.
     """
-    X = np.asarray(X, dtype=float)
+    X = check_features(X, len(params.mins) - 1)
     Xs = _scale_columns(X, params.mins[:-1], params.maxs[:-1])
     if y is None:
         return Xs

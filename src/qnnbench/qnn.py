@@ -34,7 +34,7 @@ import numpy as np
 
 from . import circuits, engine
 from .circuits import Circuit, build_real_amplitudes, build_z_feature_map, compose
-from .data import ScalerParams
+from .data import ScalerParams, check_features, check_training_set
 from .lbfgs import OptimizeOptions, minimize
 
 HISTORY_LENGTH = 25
@@ -125,18 +125,17 @@ class QnnModel:
 
 
 def predict(model: QnnModel, features) -> float | np.ndarray:
-    """Observable expectation of the model's circuit at its parameters; one
-    value per feature row, always in [-1, 1].
+    """Observable expectation of the model's circuit at its parameters,
+    always in [-1, 1]: ``(rows,)`` for a ``(rows, 4)`` array, a float for
+    one 1-D row.  Any other shape or a non-finite feature raises
+    ``ValueError`` (:func:`data.check_features`) before the circuit runs.
 
     Per call only the one-qubit feature map runs, once per (row, feature)
     pair, and :func:`circuits.product_state` folds the per-qubit states
     into the register state; the ansatz is applied as the model's compiled
     unitary, one matrix product for the whole batch.
     """
-    features = np.asarray(features, dtype=float)
-    n_qubits = model.config.n_qubits
-    if features.shape[-1:] != (n_qubits,):
-        raise ValueError(f"expected {n_qubits} features, got shape {features.shape}")
+    features = check_features(features, model.config.n_qubits)
     state = circuits.product_state(model._encoding, features)
     return engine.expectation(state @ model._ansatz_t)
 
@@ -144,18 +143,12 @@ def predict(model: QnnModel, features) -> float | np.ndarray:
 class CircuitObjective:
     """MSE objective over a fixed dataset with the data-encoding states
     computed once up front; every loss/gradient call then only applies the
-    variational part of the circuit, batched over all samples."""
+    variational part of the circuit, batched over all samples.  ``X`` and
+    ``y`` are a training set that has passed :func:`data.check_training_set`."""
 
-    def __init__(self, feature_map: Circuit | None, ansatz: Circuit, X, y):
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if len(y) == 0:
-            raise ValueError("objective needs at least one sample")
+    def __init__(self, feature_map: Circuit, ansatz: Circuit, X: np.ndarray, y: np.ndarray):
         encoded = engine.zero_state_t(ansatz.n_qubits, batch=(len(y),))
-        if feature_map is not None:
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            if len(X) != len(y):
-                raise ValueError("X and y lengths differ")
-            circuits.run_circuit(feature_map, encoded.T, features=X)
+        circuits.run_circuit(feature_map, encoded.T, features=X)
         self.encoded = encoded  # shape (2**n, n_samples)
         self.ansatz = ansatz
         self.y = y
@@ -201,7 +194,7 @@ class CircuitObjective:
 
 
 def _objective_for(config: QnnConfig, X, y) -> CircuitObjective:
-    return CircuitObjective(config.feature_map(), config.ansatz(), X, y)
+    return CircuitObjective(config.feature_map(), config.ansatz(), *check_training_set(X, y))
 
 
 def mse_loss(model: QnnModel, params, X, y) -> float:
@@ -233,8 +226,7 @@ def train(config: QnnConfig, X, y, seed: int,
     trained model and the per-iteration loss history, right-padded with the
     final value to 25 entries when the optimiser converges early.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).reshape(-1)
+    X, y = check_training_set(X, y)
     ansatz = config.ansatz()
     if len(y) < ansatz.n_trainable_slots:
         raise ValueError(

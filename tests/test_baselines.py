@@ -152,6 +152,14 @@ class TestDecisionTree:
         with pytest.raises(ValueError):
             DecisionTreeRegressor().fit([[0.0], [bad], [1.0]], [1.0, 50.0, 2.0])
 
+    def test_wrong_feature_count_rejected(self):
+        # a split on feature 1 must not read a missing column, nor a query
+        # with a third feature be answered from the first two
+        model = DecisionTreeRegressor().fit([[0, 5], [1, 5], [2, 5]], [1, 2, 3])
+        for queries in ([[1.0]], [[1.0, 5.0, 9.0]]):
+            with pytest.raises(ValueError, match="2 features"):
+                model.predict(queries)
+
 
 class TestOls:
     def test_exact_line_recovered(self):
@@ -202,6 +210,11 @@ class TestOls:
         model = ols_fit(X, y)
         with pytest.raises(ValueError):
             model.predict([[0.5, 1.0], [bad, 1.0]])
+
+    def test_three_dimensional_query_rejected(self, rng):
+        model = ols_fit(rng.normal(size=(10, 2)), rng.normal(size=10))
+        with pytest.raises(ValueError, match="2 features"):
+            model.predict(np.ones((2, 2, 2)))
 
 
 class TestDeterminism:

@@ -141,6 +141,15 @@ class TestMinMaxScaler:
         with pytest.raises(ValueError):
             minmax_fit(np.empty((0, 4)), np.empty(0))
 
+    def test_apply_checks_the_fitted_width(self, rng):
+        X = rng.uniform(0, 1, (20, 4))
+        scaler = minmax_fit(X, rng.uniform(100, 200, 20))
+        # a one-column request would broadcast into four scaled columns
+        for request in (X[:, :1], X[:, :3], X[0, :1], X[:, :, None]):
+            with pytest.raises(ValueError, match="4 features"):
+                minmax_apply(scaler, request)
+        np.testing.assert_array_equal(minmax_apply(scaler, X[0]), minmax_apply(scaler, X)[0])
+
 
 class TestSubsetAndSplit:
     def test_eighty_twenty_partition(self):

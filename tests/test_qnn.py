@@ -38,6 +38,11 @@ STRATEGY_BY_NAME = {
 }
 
 
+# H.P(0).H.P(0) on each qubit is the identity, so at zero features this
+# two-qubit feature map leaves every objective state at |00>
+IDENTITY_MAP = build_z_feature_map(2, 2)
+
+
 def toy_dataset(rng, n=16):
     X = rng.uniform(0, 1, (n, 4))
     y = rng.uniform(0, 1, n)
@@ -208,7 +213,7 @@ class TestParameterShiftGradient:
         the single-parameter gradient vanishes."""
         ansatz = Circuit(2, (Instruction("ry", (0,), Slot("trainable", 0)),), 0, 1)
         y = np.array([0.0])  # parity cos(theta) = 0 at theta = pi/2
-        objective = CircuitObjective(None, ansatz, None, y)
+        objective = CircuitObjective(IDENTITY_MAP, ansatz, np.zeros((1, 2)), y)
         grad = objective.gradient(np.array([np.pi / 2]))
         assert abs(grad[0]) < 1e-8
 
@@ -225,7 +230,7 @@ class TestParameterShiftGradient:
             1,
         )
         y = np.array([0.25])
-        objective = CircuitObjective(None, ansatz, None, y)
+        objective = CircuitObjective(IDENTITY_MAP, ansatz, np.zeros((1, 2)), y)
         for theta in (0.3, 1.1, 2.9):
             grad = objective.gradient(np.array([theta]))
             assert abs(grad[0]) < 1e-12
