@@ -3,7 +3,9 @@ distance, a CART-style variance-reduction decision tree, and ordinary
 least squares.
 
 All three are deterministic given their training data (no RNG anywhere)
-and fitted models are immutable, so they can be shared across threads.
+and fitted models are immutable, so they can be shared across threads:
+each keeps its own read-only copy of what it needs from the training set,
+so changing the caller's arrays after ``fit`` changes no prediction.
 Like the QNN models they take the contract of :func:`data.check_training_set`
 and :func:`data.check_features`: a ``(rows, width)`` query returns
 ``(rows,)`` and one 1-D row returns a float.
@@ -16,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import check_features, check_training_set
+
+# queries whose distances are built and ranked together; two (block, train)
+# buffers stay in cache where a whole request's distance matrix would not
+KNN_QUERY_BLOCK = 16
 
 
 class KnnRegressor:
@@ -39,8 +45,13 @@ class KnnRegressor:
         X, y = check_training_set(X, y)
         if self.k > len(y):
             raise ValueError(f"k={self.k} exceeds training size {len(y)}")
-        self.X_train = X
-        self.y_train = y
+        # owned read-only copies; the features are stored (features, rows) so
+        # each column predict reads is unit-stride, and X_train is its view
+        columns = np.array(X.T, order="C")
+        columns.flags.writeable = False
+        self.X_train = columns.T
+        self.y_train = np.array(y)
+        self.y_train.flags.writeable = False
         return self
 
     def predict(self, X) -> np.ndarray | float:
@@ -48,22 +59,35 @@ class KnnRegressor:
             raise ValueError("model is not fitted")
         request = check_features(X, self.X_train.shape[1])
         X = np.atleast_2d(request)
-        # summed one feature column at a time, left to right, so the only
-        # buffers are (rows, train) however many features there are
-        dists = np.zeros((len(X), len(self.X_train)))
-        for f in range(X.shape[1]):
-            dists += np.abs(X[:, f, None] - self.X_train[:, f]) ** self.p
-        dists **= 1.0 / self.p
-        # candidates: every training row at or below the k-th smallest distance;
-        # a stable sort of those by (query, distance) keeps the lower training
-        # index first on exact ties, so the first k per query are the neighbours
-        kth = np.partition(dists, self.k - 1, axis=1)[:, self.k - 1, None]
-        query, train = np.nonzero(dists <= kth)
-        order = np.lexsort((dists[query, train], query))
-        counts = np.bincount(query, minlength=len(X))
-        first = np.cumsum(counts) - counts
-        nearest = train[order][first[:, None] + np.arange(self.k)]
-        out = self.y_train[nearest].mean(axis=1)
+        columns = self.X_train.T
+        n_train = columns.shape[1]
+        out = np.empty(len(X))
+        # a block's distances d are summed from one feature's terms c at a
+        # time, left to right
+        dists = np.empty((min(KNN_QUERY_BLOCK, len(X)), n_train))
+        terms = np.empty_like(dists)
+        for start in range(0, len(X), KNN_QUERY_BLOCK):
+            block = X[start:start + KNN_QUERY_BLOCK]
+            d, c = dists[:len(block)], terms[:len(block)]
+            d.fill(0.0)
+            for f, column in enumerate(columns):
+                np.subtract(block[:, f, None], column, out=c)
+                np.abs(c, out=c)
+                c **= self.p
+                d += c
+            d **= 1.0 / self.p
+            # candidates: every training row at or below the k-th smallest
+            # distance; a stable sort of those by (query, distance) keeps the
+            # lower training index first on exact ties, so the first k per
+            # query are the neighbours
+            kth = np.partition(d, self.k - 1, axis=1)[:, self.k - 1, None]
+            flat = np.flatnonzero(d <= kth)
+            query, train = np.divmod(flat, n_train)
+            order = np.lexsort((d.ravel()[flat], query))
+            counts = np.bincount(query, minlength=len(block))
+            first = np.cumsum(counts) - counts
+            nearest = train[order][first[:, None] + np.arange(self.k)]
+            out[start:start + len(block)] = self.y_train[nearest].mean(axis=1)
         return out if request.ndim == 2 else float(out[0])
 
 

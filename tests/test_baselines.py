@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,43 @@ class TestKnn:
             got = KnnRegressor(k=k, p=p).fit(X, y).predict(queries)
             expected = [_oracles.knn_predict(X, y, q, k=k, p=p) for q in queries]
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_query_blocks_answer_like_single_rows(self, rng, p):
+        # request sizes on both sides of the query block; an integer grid puts
+        # many training rows at exactly the k-th distance
+        X = rng.integers(0, 3, size=(90, 3)).astype(float)
+        y = rng.normal(size=90)
+        for k in (1, 5, 12):
+            model = KnnRegressor(k=k, p=p).fit(X, y)
+            for rows in (1, 15, 16, 17, 33, 257):
+                queries = rng.integers(0, 3, size=(rows, 3)).astype(float)
+                got = model.predict(queries)
+                np.testing.assert_array_equal(got, [model.predict(q) for q in queries])
+                expected = [_oracles.knn_predict(X, y, q, k=k, p=p) for q in queries]
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_predict_memory_does_not_grow_with_the_request(self, rng):
+        # a whole (2048, 3200) distance matrix would be 52 MB
+        model = KnnRegressor(k=5).fit(rng.uniform(size=(3200, 4)), rng.normal(size=3200))
+        queries = rng.uniform(size=(2048, 4))
+        tracemalloc.start()
+        try:
+            model.predict(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_fit_keeps_its_own_read_only_copy(self):
+        X = np.array([[0.0], [1.0], [2.0]])
+        y = np.array([10.0, 20.0, 30.0])
+        model = KnnRegressor(k=1).fit(X, y)
+        X[1, 0] = 100.0
+        y[2] = -1.0
+        np.testing.assert_array_equal(model.predict([[0.9], [2.1]]), [20.0, 30.0])
+        assert not model.X_train.flags.writeable
+        assert not model.y_train.flags.writeable
 
     def test_tie_straddling_k_keeps_lowest_indices(self):
         # four rows at distance 1 for k=3: the lowest three indices win
