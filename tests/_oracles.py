@@ -89,6 +89,44 @@ def knn_predict(X_train, y_train, query, k: int, p: float) -> float:
     return sum(chosen) / len(chosen)
 
 
+def knn_predict_dense(X_train, y_train, queries, k: int, p: float) -> np.ndarray:
+    """Every query's Minkowski distance to every training row, built one
+    feature at a time in blocks of 16 queries, then ranked with ties toward
+    the lower training index.
+
+    The package's screened search computes each distance it keeps with the
+    same ufuncs, layouts and exponents, so it must answer ``np.array_equal``
+    to this.
+    """
+    X_train = np.asarray(X_train, dtype=float)
+    y_train = np.asarray(y_train, dtype=float)
+    X = np.atleast_2d(np.asarray(queries, dtype=float))
+    columns = np.array(X_train.T, order="C")
+    n_train = columns.shape[1]
+    out = np.empty(len(X))
+    dists = np.empty((min(16, len(X)), n_train))
+    terms = np.empty_like(dists)
+    for start in range(0, len(X), 16):
+        block = X[start:start + 16]
+        d, c = dists[:len(block)], terms[:len(block)]
+        d.fill(0.0)
+        for f, column in enumerate(columns):
+            np.subtract(block[:, f, None], column, out=c)
+            np.abs(c, out=c)
+            c **= p
+            d += c
+        d **= 1.0 / p
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1, None]
+        flat = np.flatnonzero(d <= kth)
+        query, train = np.divmod(flat, n_train)
+        order = np.lexsort((d.ravel()[flat], query))
+        counts = np.bincount(query, minlength=len(block))
+        first = np.cumsum(counts) - counts
+        nearest = train[order][first[:, None] + np.arange(k)]
+        out[start:start + len(block)] = y_train[nearest].mean(axis=1)
+    return out
+
+
 def _sse(values) -> float:
     mean = sum(values) / len(values)
     return sum((v - mean) ** 2 for v in values)

@@ -12,6 +12,34 @@ from qnnbench.baselines import (
 )
 
 
+def screen_cases():
+    """(X, y, queries, k, p) at the edges of the kNN screen's rounding model."""
+    rng = np.random.default_rng(20240817)
+    X = rng.uniform(size=(3200, 4))
+    y = rng.normal(size=3200)
+    queries = rng.uniform(size=(40, 4))
+    # rows c ± 2⁻²⁰ tie exactly in every Minkowski distance from c (its
+    # 30-bit mantissas keep them exact), while a large first coordinate
+    # rounds their screen values apart
+    centres = np.round(rng.uniform(0.5, 1, size=(64, 4)) * 2**30) / 2**30
+    centres[:, 0] *= 2.0 ** rng.integers(0, 30, size=64)
+    offsets = rng.choice([-1.0, 1.0], size=(64, 4)) * 2.0**-20
+    mirrored = np.stack([centres + offsets, centres - offsets], axis=1).reshape(-1, 4)
+    mirrored = mirrored[rng.permutation(len(mirrored))]
+    return {
+        "p=400, terms underflow": (X, y, queries, 5, 400.0),
+        "p=400 on scaled rows, some terms underflow": (10 * X, y, 10 * queries, 5, 400.0),
+        "x1e160 features, squared norms overflow": (1e160 * X, y, 1e160 * queries, 5, 2.0),
+        "x1e-160 features, products underflow": (1e-160 * X, y, 1e-160 * queries, 5, 1.0),
+        "k above the chunk count": (X, y, queries, 100, 1.5),
+        "fewer training rows than chunks": (X[:20], y[:20], queries, 3, 3.0),
+        "duplicate training rows": (np.repeat(X[:400], 8, axis=0), y, queries, 12, 2.0),
+        "queries equal to training rows": (X, y, X[::80], 5, 1.5),
+        "mirror-image rows tie at the k-th distance, p=1": (mirrored, y[:128], centres, 1, 1.0),
+        "mirror-image rows tie at the k-th distance, p=2": (mirrored, y[:128], centres, 1, 2.0),
+    }
+
+
 class TestKnn:
     def test_k_one_returns_nearest_target(self):
         model = KnnRegressor(k=1).fit([[0.0], [1.0], [2.0]], [10.0, 20.0, 30.0])
@@ -64,6 +92,33 @@ class TestKnn:
                 np.testing.assert_array_equal(got, [model.predict(q) for q in queries])
                 expected = [_oracles.knn_predict(X, y, q, k=k, p=p) for q in queries]
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+                dense = _oracles.knn_predict_dense(X, y, queries, k, p)
+                np.testing.assert_array_equal(got, dense)
+
+    @pytest.mark.parametrize("case", list(screen_cases()))
+    def test_screen_answers_like_a_dense_search(self, case):
+        X, y, queries, k, p = screen_cases()[case]
+        model = KnnRegressor(k=k, p=p).fit(X, y)
+        with np.errstate(over="ignore"):
+            got = model.predict(queries)
+            expected = _oracles.knn_predict_dense(X, y, queries, k, p)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_screen_thresholds_are_finite_on_well_scaled_rows(self, rng, monkeypatch, p):
+        # an infinite threshold keeps every row: correct, but no faster than
+        # a dense search
+        thresholds = []
+        screen = KnnRegressor._thresholds
+
+        def recorded(model, *args):
+            thresholds.append(screen(model, *args))
+            return thresholds[-1]
+
+        monkeypatch.setattr(KnnRegressor, "_thresholds", recorded)
+        model = KnnRegressor(k=5, p=p).fit(rng.uniform(size=(3200, 4)), rng.normal(size=3200))
+        model.predict(rng.uniform(size=(40, 4)))
+        assert np.isfinite(np.concatenate(thresholds)).all()
 
     def test_predict_memory_does_not_grow_with_the_request(self, rng):
         # a whole (2048, 3200) distance matrix would be 52 MB
@@ -107,6 +162,16 @@ class TestKnn:
         # diagonal point: distance 1.6 under p=1 but ~1.13 under p=2
         np.testing.assert_allclose(KnnRegressor(k=2, p=1.0).fit(X, y).predict(query), [1.0])
         np.testing.assert_allclose(KnnRegressor(k=2, p=2.0).fit(X, y).predict(query), [0.5])
+
+    @pytest.mark.parametrize("k", [2.5, np.float64(3.0), "3"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="integer"):
+            KnnRegressor(k=k)
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf])
+    def test_non_finite_p_rejected(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            KnnRegressor(p=p)
 
     def test_k_larger_than_training_rejected(self):
         with pytest.raises(ValueError):

@@ -119,3 +119,13 @@ def test_row_and_batch_agree(fitted, name):
             assert np.array_equal(value, predict(row[None])[0])
             assert np.array_equal(predict(row.tolist()), value)
         assert predict(queries[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["kNN", "DTR", "LR"])
+def test_answer_does_not_depend_on_the_batch(fitted, name):
+    predict = fitted[name]
+    queries = np.random.default_rng(SEED).uniform(-0.2, 1.2, size=(256, 4))
+    alone = np.array([predict(row) for row in queries])
+    for size in (1, 3, 16, 17, 256):
+        batched = np.concatenate([predict(queries[s:s + size]) for s in range(0, 256, size)])
+        assert np.array_equal(batched, alone), f"batches of {size}"
