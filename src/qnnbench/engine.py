@@ -16,7 +16,11 @@ caller's array.
 
 Gates update amplitudes in place through strided views and never
 materialise the ``2**n x 2**n`` operator (the dense-matrix route exists
-only in the test oracles).  Rotation angles may be scalars or, for batched
+only in the test oracles).  A one-qubit gate reshapes the basis axis to
+``(high, 2, low)``; a CNOT reshapes it to one axis per qubit and swaps two
+sub-blocks.  Splitting one axis is always a view, even of a strided state
+such as a prefix slice of a larger stack, so the update lands in the
+caller's array.  Rotation angles may be scalars or, for batched
 states, one angle per state in the batch.
 
 Thread-safety: a state array must be owned by a single caller at a time;
@@ -82,12 +86,18 @@ def _check_qubits(state: np.ndarray, *qubits: int) -> int:
     return n
 
 
-def _views_t(state: np.ndarray, qubit: int):
-    """The (qubit=0, qubit=1) amplitude slices of a basis-first state."""
+def _pairs_t(state: np.ndarray, qubit: int) -> np.ndarray:
+    """A basis-first state viewed as ``(high, 2, low, *batch)``, axis 1
+    holding ``qubit``'s bit."""
     _check_qubits(state, qubit)
     low = 1 << qubit
-    view = state.reshape((state.shape[0] // (2 * low), 2, low) + state.shape[1:])
-    return view[:, 0], view[:, 1]
+    return state.reshape((state.shape[0] // (2 * low), 2, low) + state.shape[1:])
+
+
+def _views_t(state: np.ndarray, qubit: int):
+    """The (qubit=0, qubit=1) amplitude slices of a basis-first state."""
+    pair = _pairs_t(state, qubit)
+    return pair[:, 0], pair[:, 1]
 
 
 def apply_h_t(state: np.ndarray, qubit: int) -> np.ndarray:
@@ -113,31 +123,33 @@ def apply_rz_t(state: np.ndarray, qubit: int, angle) -> np.ndarray:
 
 
 def apply_ry_t(state: np.ndarray, qubit: int, angle) -> np.ndarray:
-    c = np.cos(np.asarray(angle) / 2)
-    s = np.sin(np.asarray(angle) / 2)
-    s0, s1 = _views_t(state, qubit)
-    new0 = c * s0 - s * s1
-    s1[...] = s * s0 + c * s1
-    s0[...] = new0
+    half = np.asarray(angle) / 2
+    c, s = np.cos(half), np.sin(half)
+    pair = _pairs_t(state, qubit)
+    # the products and sums of c*s0 - s*s1 and s*s0 + c*s1, rounded the
+    # same way, with (s*s0, s*s1) as the one temporary
+    cross = pair * s
+    pair *= c
+    pair[:, 0] -= cross[:, 1]
+    pair[:, 1] += cross[:, 0]
     return state
-
-
-@lru_cache(maxsize=None)
-def _cnot_swap_indices(n_qubits: int, control: int, target: int):
-    """Basis indices (control=1, target=0) and their target-flipped partners."""
-    idx = np.arange(1 << n_qubits)
-    mask = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)
-    src = idx[mask]
-    return src, src | (1 << target)
 
 
 def apply_cnot_t(state: np.ndarray, control: int, target: int) -> np.ndarray:
     if control == target:
         raise ValueError("control and target qubits must differ")
-    a, b = _cnot_swap_indices(_check_qubits(state, control, target), control, target)
-    tmp = state[a].copy()
-    state[a] = state[b]
-    state[b] = tmp
+    n = _check_qubits(state, control, target)
+    # one axis per qubit, qubit n-1 first (little-endian basis index)
+    bits = state.reshape((2,) * n + state.shape[1:])
+    flip = [slice(None)] * n + [Ellipsis]  # Ellipsis: a view even with no batch
+    flip[n - 1 - control] = 1
+    flip[n - 1 - target] = 0
+    zero = bits[tuple(flip)]
+    flip[n - 1 - target] = 1
+    one = bits[tuple(flip)]
+    kept = zero.copy()
+    zero[...] = one
+    one[...] = kept
     return state
 
 

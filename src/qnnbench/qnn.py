@@ -19,7 +19,10 @@ states into the register state with Kronecker products
 (:func:`circuits.product_state`), then applies the compiled ansatz as one
 matrix product.  Training still encodes with the four-qubit feature map
 (once per fit) and runs the ansatz gate by gate, because every loss and
-gradient call binds new parameters.  A custom circuit runs through
+gradient call binds new parameters.  The gradient's shifted settings share
+the state before their parameter's first gate with the centre setting, so
+the ansatz runs in segments, each on the settings it has introduced so far
+(:meth:`CircuitObjective.gradient`).  A custom circuit runs through
 :func:`circuits.evaluate_circuit`.
 """
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -39,8 +42,9 @@ from .lbfgs import OptimizeOptions, minimize
 
 HISTORY_LENGTH = 25
 
-# Samples per gradient chunk: keeps the 25-setting shifted batch
-# cache-resident, so the per-sample cost stays flat as datasets grow.
+# Samples per gradient block.  Fixed, not tunable: the gradient sums its
+# terms block by block, and that summation order is part of the
+# bit-identical result (other block sizes round differently).
 GRADIENT_BLOCK = 128
 
 
@@ -140,6 +144,50 @@ def predict(model: QnnModel, features) -> float | np.ndarray:
     return engine.expectation(state @ model._ansatz_t)
 
 
+def _shift_plan(ansatz: Circuit):
+    """How the gradient's settings share the ansatz prefix.
+
+    The ansatz is split where each run of instructions that first use
+    trainable slots begins; that segment introduces those slots' +pi/2 and
+    -pi/2 settings.  Gates before the first such run form a segment that
+    introduces none, and declared slots that no gate uses ride on the last
+    segment.  Stack column 0 is the centre setting; each segment appends
+    its slots' +pi/2 columns, then their -pi/2 columns, in order of first
+    use.  Returns the segments as ``(circuit, first new column, live
+    columns)`` and every slot's +pi/2 and -pi/2 column.
+    """
+    starts: list[tuple[int, list[int]]] = []
+    seen: set[int] = set()
+    in_run = False
+    for i, inst in enumerate(ansatz.instructions):
+        first = (
+            inst.slot is not None
+            and inst.slot.role == circuits.TRAINABLE
+            and inst.slot.index not in seen
+        )
+        if first:
+            if not in_run:
+                starts.append((i, []))
+            starts[-1][1].append(inst.slot.index)
+            seen.add(inst.slot.index)
+        in_run = first
+    if not starts or starts[0][0] > 0:
+        starts.insert(0, (0, []))
+    starts[-1][1].extend(j for j in range(ansatz.n_trainable_slots) if j not in seen)
+    stops = [start for start, _ in starts[1:]] + [len(ansatz.instructions)]
+    plus = np.empty(ansatz.n_trainable_slots, dtype=int)
+    minus = np.empty_like(plus)
+    segments, live = [], 1
+    for (start, slots), stop in zip(starts, stops):
+        new = np.arange(len(slots))
+        plus[slots] = live + new
+        minus[slots] = live + len(slots) + new
+        segment = replace(ansatz, instructions=ansatz.instructions[start:stop])
+        segments.append((segment, live, live + 2 * len(slots)))
+        live += 2 * len(slots)
+    return segments, plus, minus
+
+
 class CircuitObjective:
     """MSE objective over a fixed dataset with the data-encoding states
     computed once up front; every loss/gradient call then only applies the
@@ -152,6 +200,7 @@ class CircuitObjective:
         self.encoded = encoded  # shape (2**n, n_samples)
         self.ansatz = ansatz
         self.y = y
+        self._segments, self._plus, self._minus = _shift_plan(ansatz)
 
     def predictions(self, params) -> np.ndarray:
         state = self.encoded.copy()
@@ -167,28 +216,36 @@ class CircuitObjective:
         d<O>/d(theta_k) = (f(theta_k + pi/2) - f(theta_k - pi/2)) / 2.
 
         All 2k+1 parameter settings (centre plus both shifts of every
-        parameter) run through the circuit together, in fixed-size sample
-        chunks with a fixed accumulation order (bit-reproducible).
+        parameter) share one state stack per 128-sample block.  A shifted
+        setting equals the centre up to its parameter's first gate, so its
+        column is copied from the centre column when the segment holding
+        that gate begins, and each segment runs on the columns live so far
+        only.  The states, the predictions and the fixed per-block
+        accumulation order are those of running every setting through the
+        whole ansatz, so the result is bit-reproducible.
         """
         params = np.asarray(params, dtype=float)
         k = len(params)
-        settings = np.tile(params, (2 * k + 1, 1))
         shift = np.arange(k)
-        settings[1 + shift, shift] += math.pi / 2
-        settings[1 + k + shift, shift] -= math.pi / 2
+        settings = np.tile(params, (2 * k + 1, 1))
+        settings[self._plus, shift] += math.pi / 2
+        settings[self._minus, shift] -= math.pi / 2
         # settings gain a singleton sample axis so angles broadcast as (S, 1)
         settings = settings[:, None, :]
         dim, n_samples = self.encoded.shape
         total = np.zeros(k)
         for start in range(0, n_samples, GRADIENT_BLOCK):
             block = self.encoded[:, start : start + GRADIENT_BLOCK]
-            stacked = np.broadcast_to(
-                block[:, None, :], (dim, 2 * k + 1, block.shape[1])
-            ).copy()
-            circuits.run_circuit(self.ansatz, np.moveaxis(stacked, 0, -1), params=settings)
-            preds = engine.parity_z_expectation_t(stacked)
+            stack = np.empty((dim, 2 * k + 1, block.shape[1]), dtype=complex)
+            stack[:, 0] = block
+            for segment, first, live in self._segments:
+                stack[:, first:live] = stack[:, :1]
+                circuits.run_circuit(
+                    segment, np.moveaxis(stack[:, :live], 0, -1), params=settings[:live]
+                )
+            preds = engine.parity_z_expectation_t(stack)
             residual = preds[0] - self.y[start : start + GRADIENT_BLOCK]
-            dpred = 0.5 * (preds[1 : k + 1] - preds[k + 1 :])
+            dpred = 0.5 * (preds[self._plus] - preds[self._minus])
             total += np.sum(2.0 * residual * dpred, axis=1)
         return total / n_samples
 

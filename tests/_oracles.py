@@ -79,6 +79,52 @@ def parity_expectation(state: np.ndarray) -> float:
     return total
 
 
+def param_shift_gradient(objective, params) -> np.ndarray:
+    """Parameter-shift MSE gradient of a ``CircuitObjective`` with nothing
+    shared between settings: the centre, every +pi/2 shift and every -pi/2
+    shift (2k+1 settings, in that order) each run through the whole
+    RY/CNOT ansatz, gate by gate, in 128-row blocks.
+
+    RY pairs are gathered by basis index and rotated through temporaries,
+    and CNOT swaps its index sets by fancy indexing.  The arithmetic per
+    amplitude, the parity reduction and the per-block sum order are the
+    ones the package's shared-prefix gradient must reproduce bit for bit.
+    """
+    params = np.asarray(params, dtype=float)
+    k = len(params)
+    settings = np.tile(params, (2 * k + 1, 1))
+    shift = np.arange(k)
+    settings[1 + shift, shift] += np.pi / 2
+    settings[1 + k + shift, shift] -= np.pi / 2
+    dim, n_samples = objective.encoded.shape
+    index = np.arange(dim)
+    signs = 1.0 - 2.0 * (np.bitwise_count(index) & 1)
+    total = np.zeros(k)
+    for start in range(0, n_samples, 128):
+        block = objective.encoded[:, start:start + 128]
+        states = np.broadcast_to(block[:, None, :], (dim, 2 * k + 1, block.shape[1])).copy()
+        for inst in objective.ansatz.instructions:
+            if inst.gate == "cnot":
+                control, target = inst.qubits
+                zero = index[((index >> control) & 1 == 1) & ((index >> target) & 1 == 0)]
+                one = zero | (1 << target)
+                states[zero], states[one] = states[one], states[zero].copy()
+            elif inst.gate == "ry":
+                angle = inst.slot.multiplier * settings[:, None, inst.slot.index]
+                c, s = np.cos(angle / 2), np.sin(angle / 2)
+                bit = (index >> inst.qubits[0]) & 1
+                s0, s1 = states[bit == 0], states[bit == 1]
+                states[bit == 0] = c * s0 - s * s1
+                states[bit == 1] = s * s0 + c * s1
+            else:
+                raise ValueError(f"the gradient oracle runs RY/CNOT ansatzes only, got {inst.gate}")
+        preds = np.tensordot(signs, states.real**2 + states.imag**2, axes=(0, 0))
+        residual = preds[0] - objective.y[start:start + 128]
+        dpred = 0.5 * (preds[1:k + 1] - preds[k + 1:])
+        total += np.sum(2.0 * residual * dpred, axis=1)
+    return total / n_samples
+
+
 def knn_predict(X_train, y_train, query, k: int, p: float) -> float:
     """k nearest by explicit sort, ties toward the lower training index."""
     ranked = sorted(

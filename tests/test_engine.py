@@ -112,6 +112,57 @@ class TestCnot:
             engine.apply_cnot(engine.zero_state(2), 1, 1)
 
 
+# Strided basis-first views as the gradient and run_circuit pass them: a
+# live prefix of a state stack, a dim-last stack's transpose, and both.
+STRIDED_VIEWS = {
+    "prefix": ((16, 5, 3), lambda owner: owner[:, :3]),
+    "transposed": ((5, 3, 16), lambda owner: owner.transpose(2, 0, 1)),
+    "transposed_prefix": ((5, 3, 16), lambda owner: owner[:3].transpose(2, 0, 1)),
+}
+
+
+class TestStridedViews:
+    """Kernels reshape the basis axis of the state they are given; on a
+    strided view that reshape must stay a view, or the update would land
+    in a copy and the caller's array would silently keep its old amplitudes."""
+
+    @staticmethod
+    def owner_and_view(rng, layout):
+        shape, view_of = STRIDED_VIEWS[layout]
+        owner = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        view = view_of(owner)
+        assert not view.flags.c_contiguous
+        return owner, view, view_of
+
+    @pytest.mark.parametrize("layout", list(STRIDED_VIEWS))
+    def test_ry_updates_the_callers_array(self, rng, layout):
+        for q in range(4):
+            owner, view, view_of = self.owner_and_view(rng, layout)
+            angles = rng.uniform(-np.pi, np.pi, view.shape[1])
+            expected = owner.copy()
+            columns = view_of(expected)
+            for j, angle in enumerate(angles):
+                gate = _oracles.embed_single(4, _oracles.dense_gate("ry", angle), q)
+                columns[:, j] = gate @ columns[:, j]
+            engine.apply_ry_t(view, q, angles[:, None])
+            np.testing.assert_allclose(owner, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", list(STRIDED_VIEWS))
+    def test_cnot_updates_the_callers_array(self, rng, layout):
+        for control in range(4):
+            for target in range(4):
+                if control == target:
+                    continue
+                owner, view, view_of = self.owner_and_view(rng, layout)
+                expected = owner.copy()
+                columns = view_of(expected)
+                columns[...] = np.tensordot(
+                    _oracles.cnot_permutation(4, control, target), columns, axes=(1, 0)
+                )
+                engine.apply_cnot_t(view, control, target)
+                np.testing.assert_array_equal(owner, expected)
+
+
 class TestExpectation:
     def test_all_zeros_has_even_parity(self):
         assert engine.expectation(engine.zero_state(4)) == 1.0

@@ -18,6 +18,7 @@ from qnnbench.qnn import (
     QNN_CONFIGS,
     CircuitObjective,
     QnnModel,
+    _shift_plan,
     config_by_name,
     load_trained_model,
     mse_loss,
@@ -234,6 +235,67 @@ class TestParameterShiftGradient:
         for theta in (0.3, 1.1, 2.9):
             grad = objective.gradient(np.array([theta]))
             assert abs(grad[0]) < 1e-12
+
+    @pytest.mark.parametrize("name", list(QNN_CONFIGS))
+    def test_matches_unshared_oracle_bit_for_bit(self, rng, name):
+        """Sharing the unshifted prefix between settings changes no bit:
+        at block edges (127-129 rows), a partial last block (300) and a
+        single row."""
+        config = QNN_CONFIGS[name]
+        model = model_for(name)
+        for rows in (1, 127, 128, 129, 300):
+            X, y = toy_dataset(rng, n=rows)
+            objective = CircuitObjective(config.feature_map(), config.ansatz(), X, y)
+            for _ in range(2):
+                params = rng.uniform(0, 2 * np.pi, 12)
+                assert np.array_equal(
+                    param_shift_gradient(model, params, X, y),
+                    _oracles.param_shift_gradient(objective, params),
+                )
+
+    def test_configs_share_three_prefixes(self):
+        """One segment per rotation layer, each introducing four slots."""
+        for config in QNN_CONFIGS.values():
+            segments, plus, minus = _shift_plan(config.ansatz())
+            assert [(first, live) for _, first, live in segments] == [
+                (1, 9), (9, 17), (17, 25)
+            ]
+            assert plus.tolist() == [1, 2, 3, 4, 9, 10, 11, 12, 17, 18, 19, 20]
+            assert minus.tolist() == (plus + 4).tolist()
+
+    def test_custom_ansatz_matches_unshared_oracle_bit_for_bit(self, rng):
+        """A leading CNOT, slots first used out of index order, reused
+        slots and a declared slot no gate uses."""
+        ansatz = Circuit(
+            2,
+            (
+                Instruction("cnot", (1, 0)),
+                Instruction("ry", (1,), Slot("trainable", 2)),
+                Instruction("ry", (0,), Slot("trainable", 0)),
+                Instruction("cnot", (0, 1)),
+                Instruction("ry", (0,), Slot("trainable", 2)),
+                Instruction("ry", (1,), Slot("trainable", 1)),
+                Instruction("cnot", (1, 0)),
+                Instruction("ry", (1,), Slot("trainable", 0)),
+            ),
+            0,
+            4,
+        )
+        segments, plus, minus = _shift_plan(ansatz)
+        assert [(len(seg.instructions), first, live) for seg, first, live in segments] == [
+            (1, 1, 1), (4, 1, 5), (3, 5, 9)
+        ]
+        assert plus.tolist() == [2, 5, 1, 6]
+        assert minus.tolist() == [4, 7, 3, 8]
+        for rows in (1, 127, 128, 129, 300):
+            X = rng.uniform(0, 1, (rows, 2))
+            y = rng.uniform(0, 1, rows)
+            objective = CircuitObjective(build_z_feature_map(2, 2), ansatz, X, y)
+            for _ in range(2):
+                params = rng.uniform(0, 2 * np.pi, 4)
+                grad = objective.gradient(params)
+                assert np.array_equal(grad, _oracles.param_shift_gradient(objective, params))
+                assert grad[3] == 0.0
 
     def test_fast_objective_matches_public_loss(self, rng):
         config = QNN_CONFIGS["QNN-4"]
