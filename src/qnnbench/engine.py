@@ -19,8 +19,8 @@ materialise the ``2**n x 2**n`` operator (the dense-matrix route exists
 only in the test oracles).  A one-qubit gate reshapes the basis axis to
 ``(high, 2, low)``; a CNOT reshapes it to one axis per qubit and swaps two
 sub-blocks.  Splitting one axis is always a view, even of a strided state
-such as a prefix slice of a larger stack, so the update lands in the
-caller's array.  Rotation angles may be scalars or, for batched
+such as a transposed batch or a slice of a larger array, so the update
+lands in the caller's array.  Rotation angles may be scalars or, for batched
 states, one angle per state in the batch.
 
 Thread-safety: a state array must be owned by a single caller at a time;

@@ -4,9 +4,10 @@ A model is a phase-encoding feature map composed with an RY/CNOT ansatz on
 four qubits; its scalar output is the all-qubit parity-Z expectation of the
 prepared state, regressed directly against min-max-scaled targets (no
 output head, so predictions live in [-1, 1] and can fall below zero even
-for non-negative targets).  Gradients use the exact parameter-shift rule
-for RY angles, and training runs the quasi-Newton minimiser for at most 25
-iterations from a seeded uniform initialisation.
+for non-negative targets).  Gradients use the parameter-shift rule, exact
+because each parameter drives one RY gate, and training runs the
+quasi-Newton minimiser for at most 25 iterations from a seeded uniform
+initialisation.
 
 The six registered configurations share the feature map and the circuit
 shape and differ only in the ansatz entanglement pattern, so a
@@ -20,8 +21,9 @@ states into the register state with Kronecker products
 matrix product.  Training still encodes with the four-qubit feature map
 (once per fit) and runs the ansatz gate by gate, because every loss and
 gradient call binds new parameters.  The gradient's shifted settings share
-the state before their parameter's first gate with the centre setting, so
-the ansatz runs in segments, each on the settings it has introduced so far
+the state before their parameter's gate with the centre setting, so
+the ansatz runs in segments, each on the settings it has introduced so far,
+as a C-contiguous stack in one buffer the objective keeps
 (:meth:`CircuitObjective.gradient`).  A custom circuit runs through
 :func:`circuits.evaluate_circuit`.
 """
@@ -44,7 +46,8 @@ HISTORY_LENGTH = 25
 
 # Samples per gradient block.  Fixed, not tunable: the gradient sums its
 # terms block by block, and that summation order is part of the
-# bit-identical result (other block sizes round differently).
+# bit-identical result (other block sizes round differently).  It also
+# sizes the one stack buffer each objective keeps for its gradient.
 GRADIENT_BLOCK = 128
 
 
@@ -147,30 +150,33 @@ def predict(model: QnnModel, features) -> float | np.ndarray:
 def _shift_plan(ansatz: Circuit):
     """How the gradient's settings share the ansatz prefix.
 
-    The ansatz is split where each run of instructions that first use
-    trainable slots begins; that segment introduces those slots' +pi/2 and
-    -pi/2 settings.  Gates before the first such run form a segment that
+    The ansatz is split where each run of instructions that bind trainable
+    slots begins; that segment introduces those slots' +pi/2 and -pi/2
+    settings.  Gates before the first such run form a segment that
     introduces none, and declared slots that no gate uses ride on the last
     segment.  Stack column 0 is the centre setting; each segment appends
-    its slots' +pi/2 columns, then their -pi/2 columns, in order of first
-    use.  Returns the segments as ``(circuit, first new column, live
-    columns)`` and every slot's +pi/2 and -pi/2 column.
+    its slots' +pi/2 columns, then their -pi/2 columns, in gate order.
+    Returns the segments as ``(circuit, first new column, live columns)``
+    and every slot's +pi/2 and -pi/2 column.  The shift rule is exact only
+    for a slot bound by one gate with multiplier 1, so a slot bound by more
+    gates, or scaled, raises ``ValueError``.
     """
     starts: list[tuple[int, list[int]]] = []
     seen: set[int] = set()
     in_run = False
     for i, inst in enumerate(ansatz.instructions):
-        first = (
-            inst.slot is not None
-            and inst.slot.role == circuits.TRAINABLE
-            and inst.slot.index not in seen
-        )
-        if first:
+        trainable = inst.slot is not None and inst.slot.role == circuits.TRAINABLE
+        if trainable:
+            if inst.slot.index in seen or inst.slot.multiplier != 1.0:
+                raise ValueError(
+                    f"trainable slot {inst.slot.index} must be bound by one gate with "
+                    "multiplier 1 for the parameter-shift gradient"
+                )
             if not in_run:
                 starts.append((i, []))
             starts[-1][1].append(inst.slot.index)
             seen.add(inst.slot.index)
-        in_run = first
+        in_run = trainable
     if not starts or starts[0][0] > 0:
         starts.insert(0, (0, []))
     starts[-1][1].extend(j for j in range(ansatz.n_trainable_slots) if j not in seen)
@@ -192,7 +198,11 @@ class CircuitObjective:
     """MSE objective over a fixed dataset with the data-encoding states
     computed once up front; every loss/gradient call then only applies the
     variational part of the circuit, batched over all samples.  ``X`` and
-    ``y`` are a training set that has passed :func:`data.check_training_set`."""
+    ``y`` are a training set that has passed :func:`data.check_training_set`.
+    Each trainable slot of ``ansatz`` must be bound by at most one gate, with
+    multiplier 1 (``ValueError`` otherwise), so that the parameter-shift
+    gradient is exact.  Gradient calls reuse one stack buffer, so an
+    objective serves one caller at a time."""
 
     def __init__(self, feature_map: Circuit, ansatz: Circuit, X: np.ndarray, y: np.ndarray):
         encoded = engine.zero_state_t(ansatz.n_qubits, batch=(len(y),))
@@ -201,6 +211,12 @@ class CircuitObjective:
         self.ansatz = ansatz
         self.y = y
         self._segments, self._plus, self._minus = _shift_plan(ansatz)
+        # room for one block's full (dim, 2k+1, rows) stack; every gradient
+        # call reuses it, so no block allocates or faults in fresh pages
+        self._buffer = np.empty(
+            encoded.shape[0] * (2 * ansatz.n_trainable_slots + 1) * min(len(y), GRADIENT_BLOCK),
+            dtype=complex,
+        )
 
     def predictions(self, params) -> np.ndarray:
         state = self.encoded.copy()
@@ -217,12 +233,15 @@ class CircuitObjective:
 
         All 2k+1 parameter settings (centre plus both shifts of every
         parameter) share one state stack per 128-sample block.  A shifted
-        setting equals the centre up to its parameter's first gate, so its
-        column is copied from the centre column when the segment holding
-        that gate begins, and each segment runs on the columns live so far
-        only.  The states, the predictions and the fixed per-block
-        accumulation order are those of running every setting through the
-        whole ansatz, so the result is bit-reproducible.
+        setting equals the centre up to its parameter's gate, so its column
+        is copied from the centre column when the segment holding that gate
+        begins, and each segment runs on the columns live so far only.  Each
+        segment's stack is a C-contiguous ``(dim, live, rows)`` view of the
+        objective's one buffer, regrown in place from the previous
+        segment's, so the kernels run on contiguous memory and no block
+        allocates a stack.  The states, the predictions and the fixed
+        per-block accumulation order are those of running every setting
+        through the whole ansatz, so the result is bit-reproducible.
         """
         params = np.asarray(params, dtype=float)
         k = len(params)
@@ -236,13 +255,17 @@ class CircuitObjective:
         total = np.zeros(k)
         for start in range(0, n_samples, GRADIENT_BLOCK):
             block = self.encoded[:, start : start + GRADIENT_BLOCK]
-            stack = np.empty((dim, 2 * k + 1, block.shape[1]), dtype=complex)
-            stack[:, 0] = block
+            rows = block.shape[1]
+            stack = block[:, None, :]
             for segment, first, live in self._segments:
-                stack[:, first:live] = stack[:, :1]
-                circuits.run_circuit(
-                    segment, np.moveaxis(stack[:, :live], 0, -1), params=settings[:live]
-                )
+                grown = self._buffer[: dim * live * rows].reshape(dim, live, rows)
+                # grown overlaps the previous segment's stack in the same
+                # buffer; numpy copies an overlapping source before a
+                # multi-dimensional assignment, so this regrows it in place
+                grown[:, :first] = stack
+                grown[:, first:live] = grown[:, :1]
+                circuits.run_circuit(segment, np.moveaxis(grown, 0, -1), params=settings[:live])
+                stack = grown
             preds = engine.parity_z_expectation_t(stack)
             residual = preds[0] - self.y[start : start + GRADIENT_BLOCK]
             dpred = 0.5 * (preds[self._plus] - preds[self._minus])
@@ -260,7 +283,8 @@ def mse_loss(model: QnnModel, params, X, y) -> float:
 
 
 def param_shift_gradient(model: QnnModel, params, X, y) -> np.ndarray:
-    """Parameter-shift gradient of :func:`mse_loss`; exact for this gate set."""
+    """Parameter-shift gradient of :func:`mse_loss`; exact, since every
+    configuration binds each parameter to one RY gate."""
     return _objective_for(model.config, X, y).gradient(np.asarray(params, dtype=float))
 
 

@@ -264,8 +264,8 @@ class TestParameterShiftGradient:
             assert minus.tolist() == (plus + 4).tolist()
 
     def test_custom_ansatz_matches_unshared_oracle_bit_for_bit(self, rng):
-        """A leading CNOT, slots first used out of index order, reused
-        slots and a declared slot no gate uses."""
+        """A leading CNOT, slots first used out of index order, and a
+        declared slot no gate uses."""
         ansatz = Circuit(
             2,
             (
@@ -273,29 +273,96 @@ class TestParameterShiftGradient:
                 Instruction("ry", (1,), Slot("trainable", 2)),
                 Instruction("ry", (0,), Slot("trainable", 0)),
                 Instruction("cnot", (0, 1)),
-                Instruction("ry", (0,), Slot("trainable", 2)),
+                Instruction("ry", (0,), Slot("trainable", 4)),
                 Instruction("ry", (1,), Slot("trainable", 1)),
                 Instruction("cnot", (1, 0)),
-                Instruction("ry", (1,), Slot("trainable", 0)),
+                Instruction("ry", (1,), Slot("trainable", 5)),
             ),
             0,
-            4,
+            6,
         )
         segments, plus, minus = _shift_plan(ansatz)
         assert [(len(seg.instructions), first, live) for seg, first, live in segments] == [
-            (1, 1, 1), (4, 1, 5), (3, 5, 9)
+            (1, 1, 1), (3, 1, 5), (3, 5, 9), (1, 9, 13)
         ]
-        assert plus.tolist() == [2, 5, 1, 6]
-        assert minus.tolist() == [4, 7, 3, 8]
+        assert plus.tolist() == [2, 6, 1, 10, 5, 9]
+        assert minus.tolist() == [4, 8, 3, 12, 7, 11]
         for rows in (1, 127, 128, 129, 300):
             X = rng.uniform(0, 1, (rows, 2))
             y = rng.uniform(0, 1, rows)
             objective = CircuitObjective(build_z_feature_map(2, 2), ansatz, X, y)
             for _ in range(2):
-                params = rng.uniform(0, 2 * np.pi, 4)
+                params = rng.uniform(0, 2 * np.pi, 6)
                 grad = objective.gradient(params)
                 assert np.array_equal(grad, _oracles.param_shift_gradient(objective, params))
                 assert grad[3] == 0.0
+
+    def test_slotless_first_segment_with_partial_last_block(self, rng):
+        """Leading CNOTs form a first segment that introduces no setting
+        (one live column), then a full block is followed by a partial one."""
+        config = QNN_CONFIGS["QNN-2"]
+        lead = (Instruction("cnot", (0, 1)), Instruction("cnot", (2, 3)))
+        ansatz = dataclasses.replace(
+            config.ansatz(), instructions=lead + config.ansatz().instructions
+        )
+        segments, _, _ = _shift_plan(ansatz)
+        assert [(first, live) for _, first, live in segments] == [
+            (1, 1), (1, 9), (9, 17), (17, 25)
+        ]
+        assert segments[0][0].instructions == lead
+        for rows in (200, 257):
+            X, y = toy_dataset(rng, n=rows)
+            objective = CircuitObjective(config.feature_map(), ansatz, X, y)
+            params = rng.uniform(0, 2 * np.pi, 12)
+            assert np.array_equal(
+                objective.gradient(params), _oracles.param_shift_gradient(objective, params)
+            )
+
+    def test_reused_stack_buffer_carries_no_state(self, rng):
+        """Alternating parameter vectors on one objective, and two live
+        objectives of different row counts interleaved, each match the
+        unshared oracle and leave the encoded states untouched."""
+        config = QNN_CONFIGS["QNN-3"]
+        objectives = []
+        for rows in (1, 127, 128, 129, 300):
+            X, y = toy_dataset(rng, n=rows)
+            objective = CircuitObjective(config.feature_map(), config.ansatz(), X, y)
+            encoded = objective.encoded.copy()
+            pair = rng.uniform(0, 2 * np.pi, (2, 12))
+            expected = [_oracles.param_shift_gradient(objective, p) for p in pair]
+            for params, want in list(zip(pair, expected)) * 2:
+                assert np.array_equal(objective.gradient(params), want)
+            assert np.array_equal(objective.encoded, encoded)
+            objectives.append((objective, pair, expected))
+        small, _, _ = objectives[1]
+        large, _, _ = objectives[4]
+        assert not np.shares_memory(small._buffer, large._buffer)
+        for objective, pair, expected in [objectives[4], objectives[1]] * 2 + [objectives[0]]:
+            for params, want in zip(pair, expected):
+                assert np.array_equal(objective.gradient(params), want)
+
+    @pytest.mark.parametrize(
+        "ansatz",
+        [
+            Circuit(
+                2,
+                (
+                    Instruction("ry", (0,), Slot("trainable", 0)),
+                    Instruction("cnot", (0, 1)),
+                    Instruction("ry", (1,), Slot("trainable", 0)),
+                ),
+                0,
+                1,
+            ),
+            Circuit(2, (Instruction("ry", (0,), Slot("trainable", 0, 2.0)),), 0, 1),
+        ],
+        ids=["reused-slot", "multiplier-2"],
+    )
+    def test_slot_the_shift_rule_cannot_differentiate_rejected(self, ansatz):
+        """The +/-pi/2 rule is exact only for one multiplier-1 gate per slot;
+        anything else would return a wrong gradient silently."""
+        with pytest.raises(ValueError, match="trainable slot 0"):
+            CircuitObjective(IDENTITY_MAP, ansatz, np.zeros((3, 2)), np.zeros(3))
 
     def test_fast_objective_matches_public_loss(self, rng):
         config = QNN_CONFIGS["QNN-4"]
